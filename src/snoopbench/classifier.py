@@ -3,13 +3,21 @@
 Forward, backward, and the optimizers are written out explicitly so the
 gradient path is checkable against central finite differences. The cell is
 the standard LSTM with logistic input/forget/output gates and tanh
-candidate; sequences are right-padded per batch and padded steps carry the
-previous state through unchanged, so the final state always sits at each
-sample's last real token and appending padding cannot change a logit.
+candidate.
+
+Batches are assembled right-padded in sample order, and a mask marks the
+real tokens. The LSTM then runs packed and time-major: inside `forward`
+the batch's rows are sorted by real length, longest first, so step t works
+on one contiguous block of the rows still running and no padded slot is
+ever computed. A pad id inside a stored sequence is a skipped step, the
+same as trailing padding, so the final state sits at each sample's last
+real token and adding pad ids cannot change a logit. Logits come back in
+batch order.
 
 Dropout is inverted (scale 1/keep) and active only in training: one mask
 per element on every timestep of a layer's output feeding the next layer,
-and one on the final state feeding the head.
+and one on the final state feeding the head. The masks are drawn in the
+assembled (batch, time) shape, so packing does not change the draws.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 
 from .embeddings import (
     KIND_EXTERNAL_CONTEXTUAL,
+    KIND_EXTERNAL_STATIC,
     EmbeddingModel,
     sigmoid,
 )
@@ -194,6 +203,52 @@ class EncodedDataset:
 # Model
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Packing:
+    """Time-major layout of one batch's real tokens.
+
+    Rows are sorted longest first, so step t runs the first n_t sorted rows
+    and packed rows a_t : a_t + n_t hold them; `rows` lists (a_t, n_t).
+    """
+
+    rows: list[tuple[int, int]]
+    gather: np.ndarray  # (N,) flat B*T slot of each packed token
+    prev: np.ndarray  # packed row one step earlier, for the rows after step 0
+    live: np.ndarray  # (B,) samples with at least one real token
+    final: np.ndarray  # packed row of each live sample's last step, batch order
+
+    @property
+    def n_live(self) -> int:
+        """Rows of step 0, i.e. every live sample."""
+        return len(self.final)
+
+
+def _pack(mask: np.ndarray) -> _Packing:
+    real = mask != 0
+    B, T = real.shape
+    lengths = real.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty(B, dtype=np.intp)
+    rank[order] = np.arange(B)
+    n = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    off = np.zeros(len(n) + 1, dtype=np.intp)
+    np.cumsum(n, out=off[1:])
+    r, j = np.nonzero(real)
+    step = np.cumsum(real, axis=1)[r, j] - 1
+    gather = np.empty(off[-1], dtype=np.intp)
+    gather[off[step] + rank[r]] = r * T + j
+    live = lengths > 0
+    prev = np.arange(np.count_nonzero(live), off[-1]) - np.repeat(n[:-1], n[1:])
+    final = off[lengths[live] - 1] + rank[live]
+    return _Packing(
+        rows=list(zip(off[:-1].tolist(), n.tolist())),
+        gather=gather,
+        prev=prev,
+        live=live,
+        final=final,
+    )
+
+
 class LstmClassifier:
     """Embedding lookup -> stacked LSTM -> dropout -> single logistic unit."""
 
@@ -202,15 +257,17 @@ class LstmClassifier:
         embedding: EmbeddingModel,
         config: ClassifierConfig,
         vocab: Vocabulary | None = None,
+        params: dict[str, np.ndarray] | None = None,
     ):
+        """`params` replaces the seeded initialisation (a loaded model); its
+        shapes are checked against the config."""
         config.validate()
         self.config = config
         self.contextual = embedding.kind == KIND_EXTERNAL_CONTEXTUAL
         self.vocab_ref = embedding.vocab_ref
         self.dim = embedding.dim
         self.sample_map = embedding.sample_map
-        dtype = np.dtype(config.dtype)
-        self.dtype = dtype
+        self.dtype = np.dtype(config.dtype)
 
         if self.contextual:
             if config.embedding_trainable:
@@ -227,24 +284,28 @@ class LstmClassifier:
                     f"({len(embedding.tokens)} vs {len(vocab.tokens)} tokens)"
                 )
 
-        H = config.hidden_size
-        bound = 1.0 / np.sqrt(H)
-        rng = make_rng(config.seed, "clf-init")
-        self.params: dict[str, np.ndarray] = {}
-        if not self.contextual:
-            self.params["emb"] = embedding.input_vectors.astype(dtype).copy()
-        d_in = self.dim
-        for l in range(config.num_lstm_layers):
-            W = rng.uniform(-bound, bound, size=(d_in + H, 4 * H)).astype(dtype)
-            b = np.zeros(4 * H, dtype=dtype)
-            b[H : 2 * H] = 1.0  # forget gate opens at init
-            self.params[f"W{l}"] = W
-            self.params[f"b{l}"] = b
-            d_in = H
-        self.params["w_head"] = rng.uniform(-bound, bound, size=H).astype(dtype)
-        self.params["b_head"] = np.zeros(1, dtype=dtype)
-
+        self.params = self._init_params(embedding) if params is None else params
+        _validate_shapes(self)
         self._dropout_rng = make_rng(config.seed, "clf-dropout")
+
+    def _init_params(self, embedding: EmbeddingModel) -> dict[str, np.ndarray]:
+        H = self.config.hidden_size
+        bound = 1.0 / np.sqrt(H)
+        rng = make_rng(self.config.seed, "clf-init")
+        params: dict[str, np.ndarray] = {}
+        if not self.contextual:
+            params["emb"] = embedding.input_vectors.astype(self.dtype).copy()
+        d_in = self.dim
+        for l in range(self.config.num_lstm_layers):
+            W = rng.uniform(-bound, bound, size=(d_in + H, 4 * H)).astype(self.dtype)
+            b = np.zeros(4 * H, dtype=self.dtype)
+            b[H : 2 * H] = 1.0  # forget gate opens at init
+            params[f"W{l}"] = W
+            params[f"b{l}"] = b
+            d_in = H
+        params["w_head"] = rng.uniform(-bound, bound, size=H).astype(self.dtype)
+        params["b_head"] = np.zeros(1, dtype=self.dtype)
+        return params
 
     # -- plumbing ----------------------------------------------------------
 
@@ -304,45 +365,40 @@ class LstmClassifier:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x, mask, train: bool = False):
-        """Returns (logits, cache). Dropout masks are drawn only when train."""
+        """Returns (logits, cache), logits in batch order.
+
+        Dropout masks are drawn only when train, in the assembled (B, T)
+        shape, so the draws do not depend on the packing.
+        """
         cfg = self.config
-        keep = 1.0 - cfg.dropout_rate
+        H = cfg.hidden_size
         B, T = mask.shape
+        pk = _pack(mask)
         if self.contextual:
-            X = x
             ids = None
+            X = x.reshape(B * T, self.dim)[pk.gather]
         else:
-            ids = x
+            ids = x.reshape(B * T)[pk.gather]
             X = self.params["emb"][ids]
+        dropout = train and cfg.dropout_rate > 0.0
         layer_caches = []
         drop_masks = []
         inp = X
         for l in range(cfg.num_lstm_layers):
-            Hs, cache = self._lstm_forward(l, inp, mask)
+            Hs, cache = self._lstm_forward(l, inp, pk)
             layer_caches.append(cache)
             if l < cfg.num_lstm_layers - 1:
-                if train and cfg.dropout_rate > 0.0:
-                    dm = (
-                        self._dropout_rng.random(Hs.shape) < keep
-                    ).astype(self.dtype) / self.dtype.type(keep)
-                else:
-                    dm = None
+                dm = self._dropout_mask((B, T, H), pk.gather) if dropout else None
                 drop_masks.append(dm)
                 inp = Hs if dm is None else Hs * dm
-            else:
-                final_h = Hs[:, -1]
-                if train and cfg.dropout_rate > 0.0:
-                    head_dm = (
-                        self._dropout_rng.random(final_h.shape) < keep
-                    ).astype(self.dtype) / self.dtype.type(keep)
-                else:
-                    head_dm = None
-                final_dropped = final_h if head_dm is None else final_h * head_dm
+        final_h = np.zeros((B, H), dtype=self.dtype)
+        final_h[pk.live] = Hs[pk.final]
+        head_dm = self._dropout_mask((B, H)) if dropout else None
+        final_dropped = final_h if head_dm is None else final_h * head_dm
         logits = final_dropped @ self.params["w_head"] + self.params["b_head"][0]
         cache = {
+            "pack": pk,
             "ids": ids,
-            "X": X,
-            "mask": mask,
             "layers": layer_caches,
             "drop_masks": drop_masks,
             "head_dm": head_dm,
@@ -350,107 +406,119 @@ class LstmClassifier:
         }
         return logits, cache
 
-    def _lstm_forward(self, l: int, X, mask):
-        # gate layout: [input, forget, output, candidate] so one sigmoid
-        # covers the three logistic gates
+    def _dropout_mask(self, shape, rows=None):
+        """Inverted-dropout mask from one draw of `shape`; `rows` picks rows
+        of the draw with its leading axes flattened."""
+        keep = 1.0 - self.config.dropout_rate
+        draw = self._dropout_rng.random(shape)
+        if rows is not None:
+            draw = draw.reshape(-1, shape[-1])[rows]
+        return (draw < keep).astype(self.dtype) / self.dtype.type(keep)
+
+    def _lstm_forward(self, l: int, X, pk: _Packing):
+        # gate layout: [input, forget, output, candidate]. sigmoid(z) =
+        # (1 + tanh(z/2)) / 2, so halving the logistic gates' columns (exact)
+        # lets one tanh cover all four gates.
         H = self.config.hidden_size
-        W, b = self.params[f"W{l}"], self.params[f"b{l}"]
-        B, T, Din = X.shape
-        Wx, Wh = W[:Din], W[Din:]
-        pre = (X.reshape(B * T, Din) @ Wx).reshape(B, T, 4 * H) + b
-        gates = np.empty((B, T, 4 * H), dtype=self.dtype)
-        Tc = np.empty((B, T, H), dtype=self.dtype)  # tanh of candidate cell
-        Hs = np.empty((B, T, H), dtype=self.dtype)  # post-mask hidden
-        Cs = np.empty((B, T, H), dtype=self.dtype)  # post-mask cell
-        h = np.zeros((B, H), dtype=self.dtype)
-        c = np.zeros((B, H), dtype=self.dtype)
-        one = self.dtype.type(1.0)
-        for t in range(T):
-            z = pre[:, t] + h @ Wh
-            gt = gates[:, t]
-            gt[:, : 3 * H] = sigmoid(z[:, : 3 * H])
-            gt[:, 3 * H :] = np.tanh(z[:, 3 * H :])
-            i = gt[:, :H]
-            f = gt[:, H : 2 * H]
-            o = gt[:, 2 * H : 3 * H]
-            g = gt[:, 3 * H :]
-            c_cand = f * c + i * g
-            tc = np.tanh(c_cand)
-            m = mask[:, t : t + 1]
-            not_m = one - m
-            c = m * c_cand + not_m * c
-            h = m * (o * tc) + not_m * h
-            Tc[:, t] = tc
-            Hs[:, t] = h
-            Cs[:, t] = c
+        N, Din = X.shape
+        W = self.params[f"W{l}"]
+        Wh = W[Din:]
+        gates = X @ W[:Din]
+        gates += self.params[f"b{l}"]
+        Tc = np.empty((N, H), dtype=self.dtype)  # tanh of the cell
+        Hs = np.empty((N, H), dtype=self.dtype)
+        Cs = np.empty((N, H), dtype=self.dtype)
+        rec = np.empty((pk.n_live, 4 * H), dtype=self.dtype)
+        half = self.dtype.type(0.5)
+        prev = 0
+        for t, (a, n) in enumerate(pk.rows):
+            z = gates[a : a + n]
+            if t:
+                np.matmul(Hs[prev : prev + n], Wh, out=rec[:n])
+                z += rec[:n]
+            z[:, : 3 * H] *= half
+            np.tanh(z, out=z)
+            sig = z[:, : 3 * H]
+            sig *= half
+            sig += half
+            i = z[:, :H]
+            f = z[:, H : 2 * H]
+            o = z[:, 2 * H : 3 * H]
+            g = z[:, 3 * H :]
+            c = Cs[a : a + n]
+            np.multiply(i, g, out=c)
+            if t:
+                c += f * Cs[prev : prev + n]
+            tc = Tc[a : a + n]
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=Hs[a : a + n])
+            prev = a
         return Hs, (X, gates, Tc, Hs, Cs)
 
-    def _lstm_backward(self, l: int, cache, dHs, mask, grads):
+    def _lstm_backward(self, l: int, cache, dHs, pk: _Packing, grads):
+        """dHs is consumed in place; returns the gradient of the layer input."""
         H = self.config.hidden_size
         W = self.params[f"W{l}"]
         X, gates, Tc, Hs, Cs = cache
-        B, T, Din = X.shape
+        N, Din = X.shape
         Wx, Wh = W[:Din], W[Din:]
         WhT = np.ascontiguousarray(Wh.T)
-        dZ = np.empty((B, T, 4 * H), dtype=self.dtype)
-        dh_next = np.zeros((B, H), dtype=self.dtype)
-        dc_next = np.zeros((B, H), dtype=self.dtype)
-        zeros_bh = np.zeros((B, H), dtype=self.dtype)
+        dZ = np.empty((N, 4 * H), dtype=self.dtype)
         one = self.dtype.type(1.0)
-        for t in range(T - 1, -1, -1):
-            m = mask[:, t : t + 1]
-            not_m = one - m
-            gt = gates[:, t]
+        dh_next = dc_next = np.zeros((0, H), dtype=self.dtype)
+        for t in range(len(pk.rows) - 1, -1, -1):
+            a, n = pk.rows[t]
+            rows = slice(a, a + n)
+            gt = gates[rows]
             i = gt[:, :H]
             f = gt[:, H : 2 * H]
             o = gt[:, 2 * H : 3 * H]
             g = gt[:, 3 * H :]
-            tc = Tc[:, t]
-            c_prev = Cs[:, t - 1] if t > 0 else zeros_bh
-            dh = dHs[:, t] + dh_next
-            dc = dc_next
-            dh_cand = dh * m
-            dcc = dc * m + dh_cand * o * (one - tc * tc)
-            dz = dZ[:, t]
-            dz[:, :H] = (dcc * g) * i * (one - i)
-            dz[:, H : 2 * H] = (dcc * c_prev) * f * (one - f)
-            dz[:, 2 * H : 3 * H] = (dh_cand * tc) * o * (one - o)
-            dz[:, 3 * H :] = (dcc * i) * (one - g * g)
-            dh_next = dz @ WhT + dh * not_m
-            dc_next = dcc * f + dc * not_m
-        dZ2 = dZ.reshape(B * T, 4 * H)
-        # recurrent-weight gradient in one GEMM against the shifted states
-        Hprev = np.concatenate(
-            [np.zeros((B, 1, H), dtype=self.dtype), Hs[:, :-1]], axis=1
-        )
-        dWh = Hprev.reshape(B * T, H).T @ dZ2
-        dWx = X.reshape(B * T, Din).T @ dZ2
-        dX = (dZ2 @ Wx.T).reshape(B, T, Din)
+            tc = Tc[rows]
+            # rows past the next step's block end at t and get nothing back
+            m = len(dh_next)
+            dh = dHs[rows]
+            dh[:m] += dh_next
+            dcc = dh * o * (one - tc * tc)
+            dcc[:m] += dc_next
+            dz = dZ[rows]
+            dz[:, :H] = dcc * g * i * (one - i)
+            if t:
+                p = pk.rows[t - 1][0]
+                dz[:, H : 2 * H] = dcc * Cs[p : p + n] * f * (one - f)
+            else:
+                dz[:, H : 2 * H] = 0.0
+            dz[:, 2 * H : 3 * H] = dh * tc * o * (one - o)
+            dz[:, 3 * H :] = dcc * i * (one - g * g)
+            if t:
+                dh_next = dz @ WhT
+                dc_next = dcc * f
+        # recurrent-weight gradient in one GEMM against the previous states
+        dWh = Hs[pk.prev].T @ dZ[pk.n_live :]
+        dWx = X.T @ dZ
         grads[f"W{l}"] = np.concatenate([dWx, dWh], axis=0)
-        grads[f"b{l}"] = dZ2.sum(axis=0)
-        return dX
+        grads[f"b{l}"] = dZ.sum(axis=0)
+        return dZ @ Wx.T
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
         cfg = self.config
-        mask = cache["mask"]
-        B, T = mask.shape
-        H = cfg.hidden_size
+        pk = cache["pack"]
         grads: dict[str, np.ndarray] = {}
         grads["w_head"] = cache["final_dropped"].T @ dlogits
         grads["b_head"] = np.array([dlogits.sum()], dtype=self.dtype)
         dfinal = np.outer(dlogits, self.params["w_head"]).astype(self.dtype)
         if cache["head_dm"] is not None:
             dfinal = dfinal * cache["head_dm"]
-        dHs = np.zeros((B, T, H), dtype=self.dtype)
-        dHs[:, -1] = dfinal
+        dHs = np.zeros((pk.gather.shape[0], cfg.hidden_size), dtype=self.dtype)
+        dHs[pk.final] = dfinal[pk.live]
         for l in range(cfg.num_lstm_layers - 1, -1, -1):
-            dX = self._lstm_backward(l, cache["layers"][l], dHs, mask, grads)
+            dX = self._lstm_backward(l, cache["layers"][l], dHs, pk, grads)
             if l > 0:
                 dm = cache["drop_masks"][l - 1]
                 dHs = dX if dm is None else dX * dm
         if not self.contextual and cfg.embedding_trainable:
             demb = np.zeros_like(self.params["emb"])
-            np.add.at(demb, cache["ids"].ravel(), dX.reshape(B * T, self.dim))
+            np.add.at(demb, cache["ids"], dX)
             grads["emb"] = demb
         return grads
 
@@ -464,14 +532,6 @@ class LstmClassifier:
             logits, _ = self.forward(x, mask, train=False)
             probs.append(sigmoid(logits.astype(np.float64)))
         return np.concatenate(probs)
-
-
-def build_model(
-    embedding: EmbeddingModel,
-    config: ClassifierConfig,
-    vocab: Vocabulary | None = None,
-) -> LstmClassifier:
-    return LstmClassifier(embedding, config, vocab=vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +732,7 @@ def gradient_check(
 def save_model(model: LstmClassifier, path: str | Path) -> None:
     meta = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "vocab_ref": model.vocab_ref,
         "contextual": model.contextual,
         "dim": model.dim,
@@ -681,7 +741,10 @@ def save_model(model: LstmClassifier, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, embedding: EmbeddingModel | None = None) -> LstmClassifier:
-    """Load weights; shapes are validated against the stored config."""
+    """Load weights; shapes are validated against the stored config.
+
+    `embedding` supplies the sample map of a contextual model.
+    """
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["__meta__"]))
     if meta["format_version"] != MODEL_FORMAT_VERSION:
@@ -690,17 +753,14 @@ def load_model(path: str | Path, embedding: EmbeddingModel | None = None) -> Lst
         )
     config = _config_from_dict(meta["config"])
     params = {k: data[k] for k in data.files if k != "__meta__"}
-    model = object.__new__(LstmClassifier)
-    model.config = config
-    model.contextual = meta["contextual"]
-    model.vocab_ref = meta["vocab_ref"]
-    model.dim = meta["dim"]
-    model.sample_map = embedding.sample_map if embedding is not None else None
-    model.dtype = np.dtype(config.dtype)
-    model.params = params
-    model._dropout_rng = make_rng(config.seed, "clf-dropout")
-    _validate_shapes(model)
-    return model
+    stored = EmbeddingModel(
+        kind=KIND_EXTERNAL_CONTEXTUAL if meta["contextual"] else KIND_EXTERNAL_STATIC,
+        dim=meta["dim"],
+        vocab_ref=meta["vocab_ref"],
+        input_vectors=params.get("emb"),
+        sample_map=embedding.sample_map if embedding is not None else None,
+    )
+    return LstmClassifier(stored, config, params=params)
 
 
 def _validate_shapes(model: LstmClassifier) -> None:
@@ -718,11 +778,6 @@ def _validate_shapes(model: LstmClassifier) -> None:
         d_in = H
     if model.params["w_head"].shape != (H,) or model.params["b_head"].shape != (1,):
         raise ModelConstructionError("head tensor shapes do not match config")
-
-
-def _config_to_dict(config: ClassifierConfig) -> dict:
-    d = asdict(config)
-    return d
 
 
 def _config_from_dict(d: dict) -> ClassifierConfig:

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["none", "snoop"], default="none")
     p.add_argument("--filter-rule", action="append", dest="filter_rules",
                    help="declared sample filter (repeatable); default declares "
-                        "the standard 2048-token cut")
+                        "the corpus's token-length cut, as `experiment` does")
 
     p = sub.add_parser("audit", help="audit a manifest for snooping conditions")
     p.add_argument("--input", required=True, help="manifest file")
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="paper7 or a JSON file with [{kind, lr, momentum}, ...]")
     p.add_argument("--modes", choices=["both"], default="both")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel grid cells; 1 guarantees bit-exact determinism")
+                   help="grid cells run on this many threads; every output file "
+                        "is byte-identical to a --jobs 1 run")
     p.add_argument("--epochs", type=int, default=None, help="classifier epochs override")
     p.add_argument("--w2v-epochs", type=int, default=None)
     p.add_argument("--w2v-dim", type=int, default=None)
@@ -164,10 +165,9 @@ def _cmd_synth(args) -> int:
 def _cmd_partition(args) -> int:
     corpus = ir_corpus.read_corpus(args.input)
     mode = partitioner.MODE_SNOOP if args.mode == "snoop" else partitioner.MODE_NONE
-    rules = args.filter_rules
-    if rules is None:
-        rules = [f"token_length<={ir_corpus.DEFAULT_MAX_TOKENS}"]
-    declared = partitioner.DeclaredSteps(filter_rules=tuple(rules))
+    declared = None
+    if args.filter_rules is not None:
+        declared = partitioner.DeclaredSteps(filter_rules=tuple(args.filter_rules))
     part = partitioner.build_partition(
         corpus, args.cwe, seed=args.seed, mode=mode, declared_steps=declared
     )

@@ -9,6 +9,10 @@ class MalformedModuleError(SnoopbenchError):
     """IR module text has unbalanced top-level braces."""
 
 
+class CorpusFormatError(SnoopbenchError):
+    """A corpus file's records disagree with its token-length cut."""
+
+
 class EmptyInputError(SnoopbenchError):
     """An operation that needs at least one record got none."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import MalformedModuleError
+from .errors import CorpusFormatError, MalformedModuleError
 from .tokenizer import tokenize
 
 LABEL_VULNERABLE = "vulnerable"
@@ -446,6 +446,13 @@ def filter_overlength(corpus: Corpus, max_tokens: int = DEFAULT_MAX_TOKENS) -> C
 # ---------------------------------------------------------------------------
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write one record per function.
+
+    A cut other than DEFAULT_MAX_TOKENS is stored on every record as
+    `max_tokens`, so `read_corpus` restores it; files with the standard cut
+    keep the plain record format.
+    """
+    cut = corpus.max_tokens if corpus.max_tokens != DEFAULT_MAX_TOKENS else None
     with Path(path).open("w", encoding="utf-8") as fh:
         for f in corpus.functions:
             record = {
@@ -456,12 +463,22 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
                 "label": f.label,
                 "cwe": f.cwe,
             }
+            if cut is not None:
+                record["max_tokens"] = cut
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def read_corpus(path: str | Path, provenance: str | None = None) -> Corpus:
+    """Read a corpus file and the token-length cut it was made with.
+
+    The cut is the records' `max_tokens`, or DEFAULT_MAX_TOKENS where they
+    carry none. It is recorded on the corpus, so every partition built from
+    the file declares it, whichever entry point reads the file. A record over
+    the cut is a CorpusFormatError, never a silent drop.
+    """
     functions: list[IrFunction] = []
     seen: set[str] = set()
+    cuts: set[int] = set()
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -470,6 +487,7 @@ def read_corpus(path: str | Path, provenance: str | None = None) -> Corpus:
             if rec["id"] in seen:
                 raise ValueError(f"duplicate function id in corpus file: {rec['id']}")
             seen.add(rec["id"])
+            cuts.add(rec.get("max_tokens", DEFAULT_MAX_TOKENS))
             functions.append(
                 IrFunction(
                     id=rec["id"],
@@ -481,7 +499,17 @@ def read_corpus(path: str | Path, provenance: str | None = None) -> Corpus:
                     cwe=rec.get("cwe"),
                 )
             )
+    if len(cuts) > 1:
+        raise CorpusFormatError(f"{path}: records declare different length cuts {sorted(cuts)}")
+    max_tokens = cuts.pop() if cuts else DEFAULT_MAX_TOKENS
+    for f in functions:
+        if f.token_count > max_tokens:
+            raise CorpusFormatError(
+                f"{path}: {f.source_name} has {f.token_count} tokens, over the file's "
+                f"{max_tokens}-token cut; re-ingest to record the cut it was made with"
+            )
     return Corpus(
         functions=tuple(functions),
         provenance=provenance if provenance is not None else str(path),
+        max_tokens=max_tokens,
     )

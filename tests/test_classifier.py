@@ -71,6 +71,54 @@ def small_config(**kw) -> ClassifierConfig:
     return ClassifierConfig(**defaults)
 
 
+def ragged_dataset() -> EncodedDataset:
+    """Real lengths 3, 1, 5, 4, 3 in unsorted order (4 distinct, with a tie);
+    rows 2 and 4 carry interior pad ids."""
+    seqs = [
+        [4, 2, 7],
+        [5],
+        [3, 0, 8, 0, 0, 2, 6, 9],
+        [9, 3, 3, 2],
+        [6, 0, 2, 5],
+    ]
+    return EncodedDataset(
+        ids=tuple(f"r{i}" for i in range(len(seqs))),
+        sequences=[np.asarray(s, dtype=np.int64) for s in seqs],
+        labels=np.array([1.0, 0.0, 1.0, 0.0, 1.0]),
+    )
+
+
+def reference_logits(params: dict, ids: np.ndarray) -> np.ndarray:
+    """Float64 masked LSTM, one timestep of the padded batch at a time.
+
+    Gates are laid out [input, forget, output, candidate]; a step whose id is
+    the pad id 0 carries the state through, so the last column holds each
+    row's state at its own last real token.
+    """
+    B, T = ids.shape
+    live = (ids != 0)[:, :, None]
+    inputs = params["emb"].astype(np.float64)[ids]
+    H = params["w_head"].shape[0]
+    layer = 0
+    while f"W{layer}" in params:
+        W, b = params[f"W{layer}"].astype(np.float64), params[f"b{layer}"].astype(np.float64)
+        d_in = inputs.shape[2]
+        h = np.zeros((B, H))
+        c = np.zeros((B, H))
+        outputs = np.empty((B, T, H))
+        for t in range(T):
+            z = inputs[:, t] @ W[:d_in] + h @ W[d_in:] + b
+            gate = 1.0 / (1.0 + np.exp(-z[:, : 3 * H]))
+            c_new = gate[:, H : 2 * H] * c + gate[:, :H] * np.tanh(z[:, 3 * H :])
+            h_new = gate[:, 2 * H :] * np.tanh(c_new)
+            c = np.where(live[:, t], c_new, c)
+            h = np.where(live[:, t], h_new, h)
+            outputs[:, t] = h
+        inputs = outputs
+        layer += 1
+    return h @ params["w_head"].astype(np.float64) + params["b_head"][0]
+
+
 class TestConstruction:
     def test_parameter_count_closed_form(self):
         emb, vocab = tiny_embedding(n_tokens=10, dim=8)
@@ -139,6 +187,13 @@ class TestGradientCheck:
         ds = tiny_dataset(n=2, length=5)
         assert gradient_check(model, ds, sign_flip=True) > 1e-1
 
+    def test_ragged_batch_with_interior_padding(self):
+        emb, vocab = tiny_embedding(dim=4)
+        model = LstmClassifier(emb, small_config(), vocab=vocab)
+        ds = ragged_dataset()
+        assert gradient_check(model, ds) < 1e-4
+        assert gradient_check(model, ds, sign_flip=True) > 1e-1
+
     def test_requires_float64(self):
         emb, vocab = tiny_embedding(dtype=np.float32)
         model = LstmClassifier(emb, small_config(dtype="float32"), vocab=vocab)
@@ -198,6 +253,26 @@ class TestMaskingAndDropout:
         la, _ = model.forward(xa, ma, train=False)
         lb, _ = model.forward(xb, mb, train=False)
         assert la[0] == lb[0]
+
+    def test_eval_logits_match_float64_reference(self):
+        emb, vocab = tiny_embedding(dim=4)
+        model = LstmClassifier(emb, small_config(hidden_size=5), vocab=vocab)
+        x, mask, _ = model.assemble(ragged_dataset(), range(5))
+        logits, _ = model.forward(x, mask, train=False)
+        want = reference_logits(model.params, x)
+        assert np.max(np.abs(logits - want)) < 1e-12
+
+    def test_dropout_draws_keep_assembled_shape_and_order(self):
+        emb, vocab = tiny_embedding(dim=4)
+        cfg = small_config(dropout_rate=0.3)
+        model = LstmClassifier(emb, cfg, vocab=vocab)
+        x, mask, _ = model.assemble(ragged_dataset(), range(5))
+        model.forward(x, mask, train=True)
+        fresh = make_rng(cfg.seed, "clf-dropout")
+        B, T = mask.shape
+        fresh.random((B, T, cfg.hidden_size))
+        fresh.random((B, cfg.hidden_size))
+        assert model._dropout_rng.bit_generator.state == fresh.bit_generator.state
 
     def test_dropout_contract(self):
         emb, vocab = tiny_embedding(dim=4)
@@ -387,6 +462,19 @@ class TestPersistence:
         back = load_model(path)
         assert np.array_equal(back.predict_proba(ds), model.predict_proba(ds))
         assert back.vocab_ref == model.vocab_ref
+
+    def test_loaded_model_keeps_training_like_the_original(self, tmp_path):
+        emb, vocab = tiny_embedding(dim=4)
+        model = LstmClassifier(emb, small_config(), vocab=vocab)
+        ds, val = tiny_dataset(n=5), tiny_dataset(n=2, seed=9)
+        train(model, ds, val)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        back = load_model(path)
+        # no dropout, and train() starts a fresh optimizer and shuffle stream
+        assert train(back, ds, val) == train(model, ds, val)
+        for name, value in model.params.items():
+            assert np.array_equal(back.params[name], value), name
 
     def test_shape_validation_on_load(self, tmp_path):
         emb, vocab = tiny_embedding(dim=4)

@@ -12,6 +12,7 @@ from snoopbench.cli import (
     build_parser,
     dispatch,
 )
+from snoopbench.seeding import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,52 @@ class TestDeterminism:
                 "--seed", "42", "--mode", "snoop",
             ]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestManifestsAcrossEntryPoints:
+    def test_experiment_and_partition_write_the_same_manifest(self, workspace, tmp_path):
+        _, corpus, _, _ = workspace
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps([{"kind": "adam", "lr": 0.01}]))
+        run_dir = tmp_path / "run"
+        assert dispatch([
+            "experiment", "--input", str(corpus), "--out", str(run_dir), "--seed", "9",
+            "--configs", str(configs), "--epochs", "1", "--w2v-epochs", "1", "--w2v-dim", "8",
+        ]) == EXIT_OK
+        # the grid partitions with a seed derived from its master seed
+        seed = derive_seed(9, "partition")
+        for mode, name in (("none", "none"), ("snoop", "embedding_test_snooping")):
+            out = tmp_path / f"{mode}.json"
+            assert dispatch([
+                "partition", "--input", str(corpus), "--out", str(out),
+                "--seed", str(seed), "--mode", mode,
+            ]) == EXIT_OK
+            grid_manifest = run_dir / "manifests" / f"{name}.json"
+            assert out.read_bytes() == grid_manifest.read_bytes()
+            rules = json.loads(out.read_text())["declared_steps"]["filter_rules"]
+            assert rules == ["token_length<=2048"]
+
+    def test_partition_keeps_and_declares_a_larger_ingest_cut(self, workspace, tmp_path):
+        root, _, _, _ = workspace
+        lifted = tmp_path / "lifted"
+        lifted.mkdir()
+        for ll in (root / "synth").glob("*.ll"):
+            (lifted / ll.name).write_text(ll.read_text())
+        body = "".join(f"  %v{i} = add i32 %x, {i}\n" for i in range(400))
+        (lifted / "long.ll").write_text("define i32 @long(i32 %x) {\n" + body + "  ret i32 %x\n}\n")
+        corpus = tmp_path / "corpus.jsonl"
+        assert dispatch([
+            "ingest", "--input", str(lifted), "--out", str(corpus), "--max-tokens", "4096",
+        ]) == EXIT_OK
+        long_id = next(json.loads(line)["id"] for line in corpus.read_text().splitlines()
+                       if json.loads(line)["source_name"] == "long")
+        out = tmp_path / "manifest.json"
+        assert dispatch([
+            "partition", "--input", str(corpus), "--out", str(out), "--seed", "1",
+        ]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["declared_steps"]["filter_rules"] == ["token_length<=4096"]
+        assert long_id in doc["embedding_train_ids"]
 
 
 class TestPipelineSubcommands:

@@ -21,6 +21,7 @@ from snoopbench.experiment import (
     validate_report,
 )
 from snoopbench.partitioner import read_manifest
+from snoopbench.synth_corpus import SynthSpec, generate
 
 
 def _record(epoch=1, loss=0.5, acc=0.8, prec=0.7, rec=0.9, f1=0.787) -> MetricsRecord:
@@ -119,6 +120,18 @@ class TestRunGrid:
         r1 = run_grid(mini_experiment_corpus, master_seed=4, **QUICK)
         r2 = run_grid(mini_experiment_corpus, master_seed=4, **QUICK)
         assert render(r1, "json") == render(r2, "json")
+
+    def test_jobs_two_writes_the_same_bytes_as_jobs_one(self, tmp_path):
+        corpus = generate(SynthSpec(n_pool=200, n_pairs=40, signal_strength=0.9, seed=12))
+        runs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_grid(corpus, configs=PAPER_GRID[3:6], master_seed=21, out_dir=out, jobs=jobs,
+                     word2vec=dict(dim=16, epochs=1), classifier=dict(epochs=2))
+            runs[jobs] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        # env, 2 manifests, 2 embeddings, 6 models, 6 metrics, report json + md
+        assert len(runs[1]) == 19
+        assert runs[2] == runs[1]
 
     def test_empty_config_list_valid_report(self, mini_experiment_corpus, tmp_path):
         report = run_grid(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoopbench.errors import MalformedModuleError
+from snoopbench.errors import CorpusFormatError, MalformedModuleError
 from snoopbench.ir_corpus import (
+    DEFAULT_MAX_TOKENS,
     Corpus,
     IrFunction,
     build_corpus,
@@ -328,6 +330,46 @@ class TestCorpusAssembly:
         back = read_corpus(path)
         assert [f.id for f in back] == [f.id for f in corpus]
         assert [f.normalized_text for f in back] == [f.normalized_text for f in corpus]
+
+    def test_corpus_file_records_the_standard_cut_in_the_plain_format(self, tmp_path):
+        corpus = build_corpus([("m.ll", TWO_FUNCTION_MODULE)])
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        assert all("max_tokens" not in json.loads(line) for line in path.read_text().splitlines())
+        assert read_corpus(path).max_tokens == DEFAULT_MAX_TOKENS
+
+    def test_corpus_file_keeps_a_larger_cut(self, tmp_path):
+        body = "".join(f"  %v{i} = add i32 %x, {i}\n" for i in range(DEFAULT_MAX_TOKENS // 6))
+        module = "define i32 @long(i32 %x) {\n" + body + "  ret i32 %x\n}\n"
+        (tmp_path / "m.ll").write_text(TWO_FUNCTION_MODULE + module)
+        assert [f.source_name for f in ingest_dir(tmp_path)] == ["first", "second"]
+        corpus = ingest_dir(tmp_path, max_tokens=2 * DEFAULT_MAX_TOKENS)
+        assert corpus.functions[-1].token_count > DEFAULT_MAX_TOKENS
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        back = read_corpus(path)
+        assert [f.id for f in back] == [f.id for f in corpus]
+        assert back.max_tokens == 2 * DEFAULT_MAX_TOKENS
+
+    def test_corpus_file_with_a_record_over_its_cut_is_rejected(self, tmp_path):
+        short = make_fn("define void @f() {\n  ret void\n}")
+        long = make_fn("define void @g() {\n" + "  ret void\n" * DEFAULT_MAX_TOKENS + "}")
+        assert short.token_count <= DEFAULT_MAX_TOKENS < long.token_count
+        path = tmp_path / "corpus.jsonl"
+        # an uncut corpus declares no cut, so the file is read at the standard one
+        write_corpus(Corpus(functions=(short, long)), path)
+        with pytest.raises(CorpusFormatError, match="over the file's 2048-token cut"):
+            read_corpus(path)
+
+    def test_corpus_file_with_mixed_cuts_is_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(build_corpus([("m.ll", TWO_FUNCTION_MODULE)], max_tokens=4096), path)
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["max_tokens"] = 1024
+        path.write_text("\n".join([json.dumps(first, sort_keys=True)] + lines[1:]) + "\n")
+        with pytest.raises(CorpusFormatError, match="different length cuts"):
+            read_corpus(path)
 
     def test_corpus_file_rejects_duplicate_ids(self, tmp_path):
         corpus = build_corpus([("m.ll", TWO_FUNCTION_MODULE)])
