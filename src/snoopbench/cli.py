@@ -20,7 +20,7 @@ from . import embeddings as emb
 from . import experiment as xp
 from . import ir_corpus, partitioner, snoop_audit, synth_corpus
 from .errors import SnoopbenchError
-from .tokenizer import Vocabulary, build_vocab, encode, tokenize
+from .tokenizer import Vocabulary, build_vocab, encode, tokenize  # noqa: F401 (perfbench traces them)
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", choices=["cbow", "skipgram", "external"], default="skipgram")
     p.add_argument("--configs", default="paper7",
                    help="paper7 or a JSON file with [{kind, lr, momentum}, ...]")
-    p.add_argument("--modes", choices=["both"], default="both")
     p.add_argument("--jobs", type=int, default=1,
                    help="grid cells run on this many threads; every output file "
                         "is byte-identical to a --jobs 1 run")
@@ -186,31 +185,15 @@ def _cmd_audit(args) -> int:
     return EXIT_AUDIT_VIOLATION if snoop_audit.has_violation(findings) else EXIT_OK
 
 
-def _load_split(corpus, manifest):
-    by_id = corpus.by_id()
-    missing = (manifest.embedding_train_ids | manifest.classifier_ids()) - set(by_id)
-    if missing:
-        raise SnoopbenchError(
-            f"manifest references {len(missing)} ids that are not in the corpus"
-        )
-    pick = lambda ids: ir_corpus.Corpus(
-        functions=tuple(f for f in corpus if f.id in ids),
-        provenance=corpus.provenance,
-    )
-    return (
-        pick(manifest.embedding_train_ids),
-        pick(manifest.classifier_train_ids),
-        pick(manifest.classifier_val_ids),
+def _read_partition(args) -> partitioner.Partition:
+    return partitioner.apply_manifest(
+        ir_corpus.read_corpus(args.input), partitioner.read_manifest(args.manifest)
     )
 
 
 def _cmd_embed(args) -> int:
-    corpus = ir_corpus.read_corpus(args.input)
-    manifest = partitioner.read_manifest(args.manifest)
-    emb_corpus, _, _ = _load_split(corpus, manifest)
-    sentences = [tokenize(f.normalized_text) for f in emb_corpus]
-    vocab = build_vocab(sentences)
-    encoded = [encode(s, vocab) for s in sentences]
+    part = _read_partition(args)
+    vocab, encoded = xp.encode_embedding_split(part)
     config = emb.Word2VecConfig(
         kind=args.embedding,
         dim=args.dim,
@@ -226,32 +209,22 @@ def _cmd_embed(args) -> int:
     heldout = last.get("heldout_loss")
     heldout_txt = f"{heldout:.4f}" if heldout is not None else "n/a"
     print(
-        f"trained {args.embedding} dim={args.dim} on {len(emb_corpus)} functions; "
+        f"trained {args.embedding} dim={args.dim} on {len(part.embedding_train)} functions; "
         f"final heldout loss {heldout_txt} -> {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    corpus = ir_corpus.read_corpus(args.input)
-    manifest = partitioner.read_manifest(args.manifest)
-    _, train_corpus, val_corpus = _load_split(corpus, manifest)
-    vocab = Vocabulary.load(args.vocab)
-    model_emb = emb.import_external(args.embedding_file, "static")
+    data = xp.ClassifierData.from_partition(_read_partition(args), Vocabulary.load(args.vocab))
     config = clf.ClassifierConfig(
         optimizer=clf.OptimizerSpec(args.optimizer, args.lr, args.momentum),
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    train_set = clf.EncodedDataset.from_corpus(train_corpus, vocab)
-    val_set = clf.EncodedDataset.from_corpus(val_corpus, vocab)
-    model = clf.LstmClassifier(model_emb, config, vocab=vocab)
-    records = clf.train(model, train_set, val_set, manifest=manifest)
-    with open(args.metrics, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-    clf.save_model(model, args.out)
+    model_emb = emb.import_external(args.embedding_file, "static")
+    records = xp.fit_classifier(data, model_emb, config, args.out, args.metrics)
     best = clf.select_best_epoch(records)
     print(
         f"best epoch {best.epoch}: loss {best.loss:.4f} acc {best.accuracy:.3f} "

@@ -229,7 +229,7 @@ def train_word2vec(
     probe_rng = make_rng(config.seed, "w2v-probe")
 
     W_in = ((init_rng.random((V, config.dim)) - 0.5) / config.dim).astype(np.float32)
-    W_in[0] = 0.0
+    W_in[:RESERVED_IDS] = 0.0  # pad and UNK are never trained; a .vec file carries neither
     W_out = np.zeros((V, config.dim), dtype=np.float32)
 
     probe_masks = [probe_rng.random(len(s)) < config.heldout_fraction for s in sequences]

@@ -10,7 +10,11 @@ class MalformedModuleError(SnoopbenchError):
 
 
 class CorpusFormatError(SnoopbenchError):
-    """A corpus file's records disagree with its token-length cut."""
+    """A corpus file record has a stale or duplicate id, or breaks the file's cut."""
+
+
+class VocabFormatError(SnoopbenchError):
+    """A vocabulary file does not match its format; message names file and line."""
 
 
 class EmptyInputError(SnoopbenchError):

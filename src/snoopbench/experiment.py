@@ -43,6 +43,7 @@ from .ir_corpus import Corpus
 from .partitioner import (
     MODE_NONE,
     MODE_SNOOP,
+    DatasetManifest,
     Partition,
     build_partition,
     write_manifest,
@@ -176,41 +177,24 @@ def validate_report(doc: dict) -> None:
 # Grid execution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ModeContext:
-    """Everything one snooping mode needs to train classifiers."""
-
-    mode: str
-    partition: Partition
-    vocab: Vocabulary
-    embeddings: dict[str, EmbeddingModel]
-    train_set: EncodedDataset
-    val_set: EncodedDataset
-
-
 def run_grid(
     corpus: Corpus,
     embedding_kinds: tuple[str, ...] = (KIND_SKIPGRAM,),
     configs: tuple[OptimizerSpec, ...] = PAPER_GRID,
     master_seed: int = 0,
     cwe: str = "CWE-121",
-    modes: tuple[str, ...] = (MODE_NONE, MODE_SNOOP),
     out_dir: str | Path | None = None,
     jobs: int = 1,
     word2vec: dict | None = None,
     classifier: dict | None = None,
     external_paths: dict[str, str | Path] | None = None,
 ) -> ComparisonReport:
-    """Run the paired grid and assemble a comparison report.
+    """Run the paired grid over both snooping modes and assemble a comparison report.
 
     `word2vec` and `classifier` override fields of the respective config
     dataclasses (epochs, dim, ...). For external embedding kinds,
     `external_paths` maps mode name to the file to import for that mode.
-    Both modes must be requested for delta rows; a single-mode run still
-    produces artifacts on disk but the report needs the pair.
     """
-    if set(modes) != {MODE_NONE, MODE_SNOOP}:
-        raise GridError(f"paired report needs modes {MODE_NONE} and {MODE_SNOOP}")
     out = Path(out_dir) if out_dir is not None else None
     env = {
         "master_seed": master_seed,
@@ -219,7 +203,7 @@ def run_grid(
         "cwe": cwe,
         "embedding_kinds": list(embedding_kinds),
         "config_labels": [c.label() for c in configs],
-        "modes": list(modes),
+        "modes": [MODE_NONE, MODE_SNOOP],
         "rng_algorithm": RNG_ALGORITHM,
         "word2vec_overrides": dict(word2vec or {}),
         "classifier_overrides": dict(classifier or {}),
@@ -233,13 +217,17 @@ def run_grid(
             encoding="utf-8",
         )
 
-    contexts = {
+    prepared = {
         mode: _prepare_mode(
             corpus, cwe, master_seed, mode, embedding_kinds, out, word2vec, external_paths
         )
         for mode in (MODE_NONE, MODE_SNOOP)
     }
-    _check_pairing(contexts[MODE_NONE].partition, contexts[MODE_SNOOP].partition)
+    m_none, m_snoop = (prepared[mode][0].manifest for mode in (MODE_NONE, MODE_SNOOP))
+    if (m_none.classifier_train_ids, m_none.classifier_val_ids) != (
+        m_snoop.classifier_train_ids, m_snoop.classifier_val_ids
+    ):
+        raise PairingError("paired modes disagree on classifier train/val membership")
 
     cells = [
         (kind, spec)
@@ -249,21 +237,26 @@ def run_grid(
 
     def run_cell(cell) -> ReportRow:
         kind, spec = cell
-        records: dict[str, MetricsRecord] = {}
-        for mode in (MODE_NONE, MODE_SNOOP):
-            ctx = contexts[mode]
+        seed = derive_seed(master_seed, f"clf:{kind}:{spec.label()}")
+        best: dict[str, MetricsRecord] = {}
+        for mode, (data, embeddings) in prepared.items():
+            stem = f"{kind}_{mode}_{spec.label()}"
+            paths = () if out is None else (
+                out / "models" / f"{stem}.npz", out / "metrics" / f"{stem}.jsonl")
             try:
-                records[mode] = _train_cell(ctx, kind, spec, master_seed, classifier, out)
+                config = ClassifierConfig(optimizer=spec, seed=seed, **(classifier or {}))
+                records = fit_classifier(data, embeddings[kind], config, *paths)
             except Exception as exc:
                 raise GridError(
                     f"grid cell (kind={kind}, config={spec.label()}, mode={mode}) failed: {exc}"
                 ) from exc
+            best[mode] = select_best_epoch(records)
         return ReportRow(
             embedding_kind=kind,
             config_label=spec.label(),
             optimizer=spec,
-            baseline=records[MODE_NONE],
-            snooped=records[MODE_SNOOP],
+            baseline=best[MODE_NONE],
+            snooped=best[MODE_SNOOP],
         )
 
     if jobs > 1 and len(cells) > 1:
@@ -295,13 +288,11 @@ def run_grid(
 
 def _prepare_mode(
     corpus, cwe, master_seed, mode, embedding_kinds, out, word2vec, external_paths
-) -> _ModeContext:
+) -> tuple[ClassifierData, dict[str, EmbeddingModel]]:
     part = build_partition(corpus, cwe, seed=derive_seed(master_seed, "partition"), mode=mode)
     if out is not None:
         write_manifest(part.manifest, out / "manifests" / f"{mode}.json")
-    sentences = [tokenize(f.normalized_text) for f in part.embedding_train]
-    vocab = build_vocab(sentences)
-    encoded = [encode(s, vocab) for s in sentences]
+    vocab, encoded = encode_embedding_split(part)
     embeddings: dict[str, EmbeddingModel] = {}
     for kind in embedding_kinds:
         if kind in NATIVE_KINDS:
@@ -319,42 +310,52 @@ def _prepare_mode(
                 raise GridError(f"external embedding kind {kind} needs a path for mode {mode}")
             model = import_external(paths[mode], kind)
         embeddings[kind] = model
-    train_set = EncodedDataset.from_corpus(part.classifier_train, vocab)
-    val_set = EncodedDataset.from_corpus(part.classifier_val, vocab)
-    return _ModeContext(
-        mode=mode,
-        partition=part,
-        vocab=vocab,
-        embeddings=embeddings,
-        train_set=train_set,
-        val_set=val_set,
-    )
+    return ClassifierData.from_partition(part, vocab), embeddings
 
 
-def _train_cell(ctx: _ModeContext, kind, spec, master_seed, classifier_overrides, out) -> MetricsRecord:
-    overrides = dict(classifier_overrides or {})
-    config = ClassifierConfig(
-        optimizer=spec,
-        seed=derive_seed(master_seed, f"clf:{kind}:{spec.label()}"),
-        **overrides,
-    )
-    model = LstmClassifier(ctx.embeddings[kind], config, vocab=ctx.vocab)
-    records = train(model, ctx.train_set, ctx.val_set, manifest=ctx.partition.manifest)
-    if out is not None:
-        stem = f"{kind}_{ctx.mode}_{spec.label()}"
-        with (out / "metrics" / f"{stem}.jsonl").open("w", encoding="utf-8") as fh:
+# ---------------------------------------------------------------------------
+# Pipeline steps shared by the grid and the `embed` and `train` subcommands
+# ---------------------------------------------------------------------------
+
+def encode_embedding_split(part: Partition) -> tuple[Vocabulary, list[list[int]]]:
+    """Tokenize the embedding split, build its vocabulary and encode it for word2vec."""
+    sentences = [tokenize(f.normalized_text) for f in part.embedding_train]
+    vocab = build_vocab(sentences)
+    return vocab, [encode(s, vocab) for s in sentences]
+
+
+@dataclass(frozen=True)
+class ClassifierData:
+    """A partition's classifier splits, encoded with one vocabulary."""
+
+    manifest: DatasetManifest
+    vocab: Vocabulary
+    train_set: EncodedDataset
+    val_set: EncodedDataset
+
+    @classmethod
+    def from_partition(cls, part: Partition, vocab: Vocabulary) -> "ClassifierData":
+        splits = (part.classifier_train, part.classifier_val)
+        return cls(part.manifest, vocab, *(EncodedDataset.from_corpus(c, vocab) for c in splits))
+
+
+def fit_classifier(
+    data: ClassifierData,
+    embedding: EmbeddingModel,
+    config: ClassifierConfig,
+    model_path: str | Path | None = None,
+    metrics_path: str | Path | None = None,
+) -> list[MetricsRecord]:
+    """Build and train one classifier, then write its per-epoch metrics and weights."""
+    model = LstmClassifier(embedding, config, vocab=data.vocab)
+    records = train(model, data.train_set, data.val_set, manifest=data.manifest)
+    if metrics_path is not None:
+        with open(metrics_path, "w", encoding="utf-8") as fh:
             for r in records:
                 fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-        save_model(model, out / "models" / f"{stem}.npz")
-    return select_best_epoch(records)
-
-
-def _check_pairing(p_none: Partition, p_snoop: Partition) -> None:
-    if (
-        p_none.manifest.classifier_train_ids != p_snoop.manifest.classifier_train_ids
-        or p_none.manifest.classifier_val_ids != p_snoop.manifest.classifier_val_ids
-    ):
-        raise PairingError("paired modes disagree on classifier train/val membership")
+    if model_path is not None:
+        save_model(model, model_path)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,34 @@ def build_partition(
         },
         dropped_embedding_ids=dropped,
     )
+    return apply_manifest(corpus, manifest)
+
+
+def apply_manifest(corpus: Corpus, manifest: DatasetManifest) -> Partition:
+    """Rebuild a manifest's splits from the corpus, each in corpus order.
+
+    The embedding split lists pool functions before classifier functions, as
+    `inject_embedding_snooping` does: word2vec trains in input order, so every
+    entry point must list it the same way. Ids missing from the corpus raise
+    ManifestInvalidError.
+    """
     manifest.validate()
-    return Partition(manifest, embedding_train, train, val)
+    emb_ids, clf_ids = manifest.embedding_train_ids, manifest.classifier_ids()
+    missing = (emb_ids | clf_ids) - corpus.ids()
+    if missing:
+        raise ManifestInvalidError(
+            f"manifest references {len(missing)} ids that are not in corpus {corpus.provenance}"
+        )
+
+    def pick(*id_sets: frozenset[str]) -> Corpus:
+        return replace(corpus, functions=tuple(f for ids in id_sets for f in corpus if f.id in ids))
+
+    return Partition(
+        manifest,
+        pick(emb_ids - clf_ids, emb_ids & clf_ids),
+        pick(manifest.classifier_train_ids),
+        pick(manifest.classifier_val_ids),
+    )
 
 
 # ---------------------------------------------------------------------------

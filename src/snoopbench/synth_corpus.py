@@ -132,7 +132,7 @@ def _distractor(b: _FnBuilder, dst: str, src: str, rng: np.random.Generator) -> 
         b.op(f"{d} = add i64 {a}, {c1}")
 
 
-def _copy_pair_body(uniq: int, buf: int, distract: bool, guarded: bool):
+def _copy_pair_body(uniq: int, buf: int, distract: bool, guarded: bool, pair_rng):
     """Body builder for one classifier sample; `guarded` picks the variant."""
 
     def build(b: _FnBuilder, params: list[str]) -> None:
@@ -146,8 +146,7 @@ def _copy_pair_body(uniq: int, buf: int, distract: bool, guarded: bool):
         mark = b.loc()
         b.op(f"{mark} = add i64 {n}, {uniq}")
         if distract:
-            # pair-level rng keeps both variants byte-identical here
-            _distractor(b, dst, src, build.pair_rng)
+            _distractor(b, dst, src, pair_rng)
         r = b.loc()
         if guarded:
             b.op(f"{r} = call i8* @strncpy(i8* {dst}, i8* {src}, i64 {buf - 1})")
@@ -206,8 +205,9 @@ def generate(spec: SynthSpec) -> Corpus:
             ("_bad", False, ir_corpus.LABEL_VULNERABLE),
             ("_goodG2B", True, ir_corpus.LABEL_CLEAN),
         ):
-            body = _copy_pair_body(uniq, buf, distract, guarded)
-            body.pair_rng = make_rng(pair_rng_seed, "pair-distractor")
+            # a fresh rng from the pair's seed keeps both variants' distractors byte-identical
+            pair_rng = make_rng(pair_rng_seed, "pair-distractor")
+            body = _copy_pair_body(uniq, buf, distract, guarded, pair_rng)
             functions.append(
                 _emit(base + suffix, "i32", ["i8*"], body, label=label, cwe=CWE_ID)
             )
@@ -217,8 +217,7 @@ def generate(spec: SynthSpec) -> Corpus:
         buf = int(rng.integers(16, 256))
         distract = bool(rng.random() > spec.signal_strength)
         seed_j = int(rng.integers(0, 2**63))
-        body = _copy_pair_body(uniq, buf, distract, guarded=True)
-        body.pair_rng = make_rng(seed_j, "pair-distractor")
+        body = _copy_pair_body(uniq, buf, distract, True, make_rng(seed_j, "pair-distractor"))
         name = f"CWE121_bulk_copy_{spec.n_pairs + j:05d}_goodG2B"
         functions.append(
             _emit(name, "i32", ["i8*"], body, label=ir_corpus.LABEL_CLEAN, cwe=CWE_ID)

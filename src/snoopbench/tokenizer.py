@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, VocabFormatError
 
 PAD_ID = 0
 UNK_ID = 1
@@ -80,21 +80,28 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a file written by `save`; any deviation is a VocabFormatError."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise EmptyInputError(f"vocabulary file {path} is empty")
-        header = lines[0].split()
-        if len(header) != 2 or int(header[1]) != RESERVED_IDS:
-            raise EmptyInputError(f"bad vocabulary header in {path}: {lines[0]!r}")
+        header = lines[0].split() if lines else []
+        if len(header) != 2 or not header[0].isdecimal() or header[1] != str(RESERVED_IDS):
+            raise VocabFormatError(
+                f"{path}:1: header must be '<n_tokens> {RESERVED_IDS}', "
+                f"got {lines[0] if lines else ''!r}"
+            )
         n = int(header[0])
-        tokens: list[str] = []
+        if len(lines) - 1 != n:
+            raise VocabFormatError(f"{path}:1: header promises {n} tokens, found {len(lines) - 1}")
         counts: dict[str, int] = {}
-        for line in lines[1 : n + 1]:
-            token, count = line.split("\t")
-            tokens.append(token)
+        for lineno, line in enumerate(lines[1:], start=2):
+            token, tab, count = line.partition("\t")
+            if not tab or not token or not count.isdecimal() or token in counts:
+                raise VocabFormatError(
+                    f"{path}:{lineno}: want a new 'token<TAB>count', got {line!r}"
+                )
             counts[token] = int(count)
+        tokens = tuple(counts)
         index = {t: i + RESERVED_IDS for i, t in enumerate(tokens)}
-        return cls(tokens=tuple(tokens), counts=counts, index=index)
+        return cls(tokens=tokens, counts=counts, index=index)
 
 
 def build_vocab(token_sequences: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:

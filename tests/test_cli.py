@@ -13,6 +13,7 @@ from snoopbench.cli import (
     dispatch,
 )
 from snoopbench.seeding import derive_seed
+from snoopbench.tokenizer import Vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([])
         assert exc.value.code == 2
+
+    def test_tampered_corpus_text_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, _, _ = workspace
+        lines = corpus.read_text().splitlines()
+        rec = json.loads(lines[2])
+        assert rec["label"] == "vulnerable" and "@strcpy(" in rec["normalized_text"]
+        rec["normalized_text"] = rec["normalized_text"].replace("@strcpy(", "@strncpy(")
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+        code = dispatch([
+            "partition", "--input", str(tampered), "--out", str(tmp_path / "m.json"),
+            "--seed", "1",
+        ])
+        assert code == 1
+        assert "tampered.jsonl:3: the id of" in capsys.readouterr().err
 
     def test_domain_error_exits_one(self, workspace, tmp_path):
         root, corpus, _, _ = workspace
@@ -145,26 +161,50 @@ class TestManifestsAcrossEntryPoints:
 
 class TestPipelineSubcommands:
     def test_embed_train_report_chain(self, workspace, tmp_path):
-        _, corpus, m_none, _ = workspace
-        vec = tmp_path / "emb.vec"
-        vocab = tmp_path / "vocab.tsv"
+        """`embed` + `train` on a grid's manifest, with the grid's derived seeds,
+        reproduce that grid cell's vectors, vocabulary and metrics byte for byte."""
+        _, corpus, _, _ = workspace
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps([{"kind": "adam", "lr": 0.01}]))
+        run_dir = tmp_path / "run"
         assert dispatch([
-            "embed", "--input", str(corpus), "--manifest", str(m_none),
-            "--embedding", "skipgram", "--out", str(vec), "--vocab-out", str(vocab),
-            "--dim", "12", "--epochs", "1", "--seed", "3",
+            "experiment", "--input", str(corpus), "--out", str(run_dir), "--seed", "9",
+            "--configs", str(configs), "--epochs", "1", "--w2v-epochs", "1", "--w2v-dim", "12",
         ]) == EXIT_OK
-        assert vec.exists() and vocab.exists()
+        for mode in ("none", "embedding_test_snooping"):
+            manifest = run_dir / "manifests" / f"{mode}.json"
+            vec = tmp_path / f"{mode}.vec"
+            vocab = tmp_path / f"{mode}.tsv"
+            assert dispatch([
+                "embed", "--input", str(corpus), "--manifest", str(manifest),
+                "--embedding", "skipgram", "--out", str(vec), "--vocab-out", str(vocab),
+                "--dim", "12", "--epochs", "1", "--seed", str(derive_seed(9, "w2v:skipgram")),
+            ]) == EXIT_OK
+            grid_vec = run_dir / "embeddings" / f"skipgram_{mode}.vec"
+            assert vec.read_bytes() == grid_vec.read_bytes()
+            grid_tokens = [line.split(" ")[0] for line in grid_vec.read_text().splitlines()[1:]]
+            assert list(Vocabulary.load(vocab).tokens) == grid_tokens
 
-        model = tmp_path / "model.npz"
-        metrics = tmp_path / "metrics.jsonl"
+            model = tmp_path / f"{mode}.npz"
+            metrics = tmp_path / f"{mode}.jsonl"
+            assert dispatch([
+                "train", "--input", str(corpus), "--manifest", str(manifest),
+                "--embedding-file", str(vec), "--vocab", str(vocab),
+                "--optimizer", "adam", "--lr", "0.01", "--epochs", "1",
+                "--out", str(model), "--metrics", str(metrics),
+                "--seed", str(derive_seed(9, "clf:skipgram:adam_lr0.01")),
+            ]) == EXIT_OK
+            assert model.exists()
+            grid_metrics = run_dir / "metrics" / f"skipgram_{mode}_adam_lr0.01.jsonl"
+            assert metrics.read_bytes() == grid_metrics.read_bytes()
+
+        (tmp_path / "cut.tsv").write_text("\n".join(vocab.read_text().splitlines()[:-1]) + "\n")
         assert dispatch([
-            "train", "--input", str(corpus), "--manifest", str(m_none),
-            "--embedding-file", str(vec), "--vocab", str(vocab),
-            "--optimizer", "adam", "--lr", "0.01", "--epochs", "2",
-            "--out", str(model), "--metrics", str(metrics), "--seed", "4",
-        ]) == EXIT_OK
-        assert model.exists()
-        assert len(metrics.read_text().splitlines()) == 2
+            "train", "--input", str(corpus), "--manifest", str(manifest),
+            "--embedding-file", str(vec), "--vocab", str(tmp_path / "cut.tsv"),
+            "--optimizer", "adam", "--lr", "0.01", "--epochs", "1",
+            "--out", str(model), "--metrics", str(metrics), "--seed", "1",
+        ]) == 1
 
     def test_experiment_and_report_rerender(self, workspace, tmp_path):
         _, corpus, _, _ = workspace

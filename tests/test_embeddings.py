@@ -211,7 +211,7 @@ class TestTrainingBehavior:
         V = vocab.size_with_reserved
         init_rng = make_rng(cfg.seed, "w2v-init")
         W_in = ((init_rng.random((V, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
-        W_in[0] = 0.0
+        W_in[:RESERVED_IDS] = 0.0  # pad and UNK rows start at zero
         W_out = np.zeros((V, cfg.dim), dtype=np.float32)
         table = _NegativeTable(vocab)
         train_rng = make_rng(cfg.seed, "w2v-train")

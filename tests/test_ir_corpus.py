@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from snoopbench.errors import CorpusFormatError, MalformedModuleError
 from snoopbench.ir_corpus import (
+    DEFAULT_LABELING,
     DEFAULT_MAX_TOKENS,
     Corpus,
     IrFunction,
@@ -20,7 +21,6 @@ from snoopbench.ir_corpus import (
     extract_functions,
     filter_overlength,
     ingest_dir,
-    label_function,
     normalize_function,
     read_corpus,
     write_corpus,
@@ -245,16 +245,16 @@ class TestNormalization:
 
 class TestLabeling:
     def test_bad_variant(self):
-        assert label_function("CWE121_memcpy_01_bad") == ("vulnerable", "CWE-121")
+        assert DEFAULT_LABELING.apply("CWE121_memcpy_01_bad") == ("vulnerable", "CWE-121")
 
     def test_good_variant(self):
-        assert label_function("CWE121_memcpy_01_goodG2B") == ("clean", "CWE-121")
+        assert DEFAULT_LABELING.apply("CWE121_memcpy_01_goodG2B") == ("clean", "CWE-121")
 
     def test_helper_unlabeled(self):
-        assert label_function("printLine") == ("unlabeled", None)
+        assert DEFAULT_LABELING.apply("printLine") == ("unlabeled", None)
 
     def test_cwe_tag_without_variant(self):
-        label, cwe = label_function("CWE121_support")
+        label, cwe = DEFAULT_LABELING.apply("CWE121_support")
         assert label == "unlabeled"
         assert cwe == "CWE-121"
 
@@ -377,5 +377,15 @@ class TestCorpusAssembly:
         write_corpus(corpus, path)
         line = path.read_text().splitlines()[0]
         path.write_text(line + "\n" + line + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(CorpusFormatError, match=r"corpus.jsonl:2: first has a duplicate id"):
+            read_corpus(path)
+
+    def test_corpus_file_with_a_stale_id_is_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(build_corpus([("m.ll", TWO_FUNCTION_MODULE)]), path)
+        lines = path.read_text().splitlines()
+        second = json.loads(lines[1])
+        second["normalized_text"] += "\n  ret void"
+        path.write_text("\n".join([lines[0], json.dumps(second, sort_keys=True)]) + "\n")
+        with pytest.raises(CorpusFormatError, match="corpus.jsonl:2: the id of second is not"):
             read_corpus(path)

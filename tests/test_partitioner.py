@@ -16,6 +16,7 @@ from snoopbench.partitioner import (
     MODE_SNOOP,
     DatasetManifest,
     DeclaredSteps,
+    apply_manifest,
     build_partition,
     inject_embedding_snooping,
     manifest_from_json,
@@ -242,3 +243,30 @@ class TestBuildPartition:
     def test_filter_rule_declared_from_corpus(self, small_corpus):
         p = build_partition(small_corpus, "CWE-121", seed=5)
         assert p.manifest.declared_steps.filter_rules == ("token_length<=2048",)
+
+
+class TestApplyManifest:
+    def test_split_order_pool_then_classifier_each_in_corpus_order(self, small_corpus):
+        part = build_partition(small_corpus, "CWE-121", seed=5, mode=MODE_SNOOP)
+        m = part.manifest
+        in_corpus_order = lambda ids: [f.id for f in small_corpus if f.id in ids]
+        clf_ids = m.classifier_ids()
+        want = in_corpus_order(m.embedding_train_ids - clf_ids) + in_corpus_order(clf_ids)
+        assert [f.id for f in part.embedding_train] == want
+        # classifier samples lead the corpus, so corpus order would differ
+        assert want != in_corpus_order(m.embedding_train_ids)
+        assert [f.id for f in part.classifier_train] == in_corpus_order(m.classifier_train_ids)
+        assert [f.id for f in part.classifier_val] == in_corpus_order(m.classifier_val_ids)
+
+    def test_manifest_file_rebuilds_the_same_splits(self, small_corpus, tmp_path):
+        for mode in (MODE_NONE, MODE_SNOOP):
+            part = build_partition(small_corpus, "CWE-121", seed=5, mode=mode)
+            write_manifest(part.manifest, tmp_path / "m.json")
+            again = apply_manifest(small_corpus, read_manifest(tmp_path / "m.json"))
+            assert again == part
+
+    def test_ids_missing_from_the_corpus_rejected(self, small_corpus):
+        part = build_partition(small_corpus, "CWE-121", seed=5)
+        fewer = Corpus(functions=small_corpus.functions[1:], provenance="fewer")
+        with pytest.raises(ManifestInvalidError, match="1 ids that are not in corpus fewer"):
+            apply_manifest(fewer, part.manifest)

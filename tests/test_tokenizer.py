@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snoopbench.errors import EmptyInputError
+from snoopbench.errors import EmptyInputError, VocabFormatError
 from snoopbench.seeding import make_rng
 from snoopbench.tokenizer import (
     PAD_ID,
@@ -145,6 +145,22 @@ class TestVocabulary:
         assert back.tokens == vocab.tokens
         assert back.counts == vocab.counts
         assert back.identity_hash() == vocab.identity_hash()
+
+    @pytest.mark.parametrize("text, where", [
+        ("", r"vocab.tsv:1: header"),
+        ("x 2\nb\t2\na\t1\n", r"vocab.tsv:1: header"),
+        ("2 3\nb\t2\na\t1\n", r"vocab.tsv:1: header"),
+        ("2 2\nb 2\na\t1\n", r"vocab.tsv:2: .*'b 2'"),
+        ("2 2\nb\t2\na\tone\n", r"vocab.tsv:3: .*'a\\tone'"),
+        ("2 2\nb\t2\nb\t1\n", r"vocab.tsv:3: "),
+        ("3 2\nb\t2\na\t1\n", r"vocab.tsv:1: header promises 3 tokens, found 2"),
+        ("1 2\nb\t2\na\t1\n", r"vocab.tsv:1: header promises 1 tokens, found 2"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text)
+        with pytest.raises(VocabFormatError, match=where):
+            Vocabulary.load(path)
 
 
 class TestEncode:
