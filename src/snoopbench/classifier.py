@@ -260,11 +260,13 @@ class LstmClassifier:
         params: dict[str, np.ndarray] | None = None,
     ):
         """`params` replaces the seeded initialisation (a loaded model); its
-        shapes are checked against the config."""
+        shapes are checked against the config. A given `vocab` is recorded
+        by its identity hash, so a model names the same vocabulary whether
+        its vectors were trained in-process or imported from a file."""
         config.validate()
         self.config = config
         self.contextual = embedding.kind == KIND_EXTERNAL_CONTEXTUAL
-        self.vocab_ref = embedding.vocab_ref
+        self.vocab_ref = vocab.identity_hash() if vocab is not None else embedding.vocab_ref
         self.dim = embedding.dim
         self.sample_map = embedding.sample_map
         self.dtype = np.dtype(config.dtype)

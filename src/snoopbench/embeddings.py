@@ -1,17 +1,22 @@
 """Static token embeddings: CBOW and Skip-Gram with negative sampling.
 
-Both variants minimize the usual negative-sampling objective per positive
-(center, context) pair with k negatives drawn from the unigram distribution
-raised to 0.75:
+Both kinds train one objective on one kind of example: a group of input
+(W_in) rows, averaged into v, scored against one positive output (W_out)
+row and k negatives drawn from the unigram distribution raised to 0.75:
 
     loss = -log s(u_pos . v) - sum_k log s(-u_neg_k . v)
 
-where v is the center's input vector for Skip-Gram and the mean of the
-context input vectors for CBOW. Gradients for all pairs of one sentence
-are applied in a single vectorized scatter step; negatives colliding with
-their positive target are redrawn. A seeded 2% sample of positions is held
-out of training and re-evaluated with fixed negatives every `log_every`
-updates, giving the training log a step-indexed validation-loss column.
+For Skip-Gram the group is a center token and the positive one of its
+context tokens; for CBOW the group is the context window and the positive
+its center. One vectorized builder finds a sentence's context windows
+(`_windows`); the kind matters only where its examples are made from them
+(`_examples`); and `batch_loss_and_grad` scores them for the training step,
+the held-out loss and `gradient_check` alike. Each sentence is one update,
+its gradients applied in a single vectorized scatter step; negatives
+colliding with their positive target are redrawn. A seeded 2% sample of positions is
+held out of training and re-evaluated with fixed negatives every
+`log_every` updates, giving the training log a step-indexed
+validation-loss column.
 
 Externally computed embeddings (static token vectors or frozen per-sample
 contextual sequences) are importable through the text formats documented on
@@ -24,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +43,8 @@ KIND_EXTERNAL_STATIC = "external_static"
 KIND_EXTERNAL_CONTEXTUAL = "external_contextual"
 
 NATIVE_KINDS = (KIND_CBOW, KIND_SKIPGRAM)
+
+PROBE_SENTENCES = 256  # sentences per batch of the held-out loss
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -119,23 +126,114 @@ class EmbeddingModel:
 
 
 # ---------------------------------------------------------------------------
-# Shared objective
+# Objective
 # ---------------------------------------------------------------------------
+
+class Examples(NamedTuple):
+    """Training examples: groups of W_in rows, each averaged into one input
+    vector and scored against one positive W_out row.
+
+    inputs: the W_in rows of every group, flat, group after group.
+    counts: rows per group, or None when every group is a single row.
+    targets: the positive W_out row of each group.
+    """
+
+    inputs: np.ndarray
+    counts: np.ndarray | None
+    targets: np.ndarray
+
+
+def batch_loss_and_grad(
+    W_in: np.ndarray, W_out: np.ndarray, ex: Examples, negs: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Negative-sampling loss terms and gradients of a batch of examples.
+
+    negs: (examples, k) negative W_out rows. Returns (the float64 loss terms
+    of the positives (examples,) and of the negatives (examples, k), one
+    input-side gradient per entry of ex.inputs, the W_out rows scored
+    (targets, then negs row-major), one gradient per such row). Training,
+    the held-out loss and `gradient_check` all evaluate the objective
+    through this function.
+    """
+    if ex.counts is None:
+        v = W_in[ex.inputs]
+    else:
+        offsets = np.concatenate([[0], np.cumsum(ex.counts)[:-1]])
+        scale = ex.counts[:, None].astype(W_in.dtype)
+        v = np.add.reduceat(W_in[ex.inputs], offsets, axis=0) / scale
+    n, k = negs.shape
+    out_rows = np.concatenate([ex.targets, negs.ravel()])
+    U = W_out[out_rows]
+    u_pos, u_neg = U[:n], U[n:].reshape(n, k, -1)
+    s_pos = (v * u_pos).sum(axis=1)
+    s_neg = np.einsum("pd,pkd->pk", v, u_neg)
+    terms = (
+        np.logaddexp(0.0, -s_pos.astype(np.float64)),
+        np.logaddexp(0.0, s_neg.astype(np.float64)),
+    )
+    e_pos = sigmoid(s_pos) - 1.0
+    e_neg = sigmoid(s_neg)
+    g_v = e_pos[:, None] * u_pos + np.einsum("pk,pkd->pd", e_neg, u_neg)
+    g_in = g_v if ex.counts is None else np.repeat(g_v / scale, ex.counts, axis=0)
+    # U's rows are overwritten by their own gradients: a second array of
+    # U's size, allocated and faulted in on every step, cost more than the
+    # arithmetic (2.2 vs 0.85 ms for 740 examples at dim 100)
+    np.multiply(e_pos[:, None], v, out=u_pos)
+    np.multiply(e_neg[:, :, None], v[:, None, :], out=u_neg)
+    return terms, g_in, out_rows, U
+
+
+def _total(terms: tuple[np.ndarray, np.ndarray]) -> float:
+    """The loss of a batch: its positive terms, then its negative terms, summed."""
+    return float(terms[0].sum() + terms[1].sum())
+
 
 def pair_loss_and_grad(
     v: np.ndarray, U: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative-sampling loss and gradients for one input-side vector.
+    """Per-pair reference: the loss and gradients of one input-side vector.
 
     v: (dim,) input-side vector; U: (rows, dim) output-side vectors;
     labels: (rows,) 1.0 for positives and 0.0 for negatives. Returns
-    (loss, dloss/dv, dloss/dU). This is the exact function the training
-    loop applies, which is what the finite-difference check exercises.
+    (loss, dloss/dv, dloss/dU). The trainer runs `batch_loss_and_grad`;
+    tests hold it to the sum of this function over each example's pairs.
     """
     s = U @ v
     loss = float(np.logaddexp(0.0, np.where(labels > 0.5, -s, s)).sum())
     e = sigmoid(s) - labels
     return loss, e @ U, np.outer(e, v)
+
+
+def _concat(parts: Sequence[Examples]) -> Examples:
+    """The examples of `parts`, in order, as one batch."""
+    return Examples(*(None if col[0] is None else np.concatenate(col) for col in zip(*parts)))
+
+
+def _windows(
+    seq: np.ndarray, centers_ok: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, their contexts flat, context count per center) of `seq`.
+
+    Centers are the real tokens at the positions `centers_ok` allows. A
+    center's context is the up to `window` tokens on its left, then those
+    on its right, pad and UNK skipped; a center without one is left out.
+    """
+    pos = np.flatnonzero(centers_ok & (seq >= RESERVED_IDS))
+    idx = pos[:, None] + np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    inside = (idx >= 0) & (idx < seq.size)
+    ctx = seq[np.where(inside, idx, 0)]
+    is_ctx = inside & (ctx >= RESERVED_IDS)
+    counts = is_ctx.sum(axis=1)
+    return seq[pos[counts > 0]], ctx[is_ctx], counts[counts > 0]
+
+
+def _examples(is_cbow: bool, centers: np.ndarray, ctx: np.ndarray, counts: np.ndarray) -> Examples:
+    """The examples of one set of windows. Skip-Gram makes one per (center,
+    context) pair, with the center as its group; CBOW one per center, with
+    its context as the group."""
+    if is_cbow:
+        return Examples(ctx, counts, centers)
+    return Examples(np.repeat(centers, counts), None, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +253,20 @@ class _NegativeTable:
         self.cum = np.cumsum(weights)
         self.cum /= self.cum[-1]
 
-    def draw(self, rng: np.random.Generator, shape, forbidden: np.ndarray | None = None) -> np.ndarray:
-        negs = np.searchsorted(self.cum, rng.random(shape), side="right") + RESERVED_IDS
-        if forbidden is not None:
-            # redraw collisions with the positive target, bounded attempts
-            for _ in range(16):
-                bad = negs == forbidden
-                n_bad = int(bad.sum())
-                if n_bad == 0:
-                    break
-                negs[bad] = (
-                    np.searchsorted(self.cum, rng.random(n_bad), side="right")
-                    + RESERVED_IDS
-                )
+    def draw(self, rng: np.random.Generator, targets: np.ndarray, k: int) -> np.ndarray:
+        """(targets, k) negatives; one equal to its target is redrawn, in
+        bounded attempts."""
+        negs = np.searchsorted(self.cum, rng.random((targets.size, k)), side="right")
+        negs += RESERVED_IDS
+        for _ in range(16):
+            bad = negs == targets[:, None]
+            n_bad = int(bad.sum())
+            if n_bad == 0:
+                break
+            negs[bad] = (
+                np.searchsorted(self.cum, rng.random(n_bad), side="right") + RESERVED_IDS
+            )
         return negs
-
-
-def _context_window(seq: np.ndarray, pos: int, window: int) -> np.ndarray:
-    lo = max(0, pos - window)
-    ctx = np.concatenate([seq[lo:pos], seq[pos + 1 : pos + 1 + window]])
-    return ctx[ctx >= RESERVED_IDS]
 
 
 def _apply_gradients(
@@ -198,14 +290,6 @@ def _apply_gradients(
     W[r[starts]] -= W.dtype.type(lr) * agg
 
 
-def _has_any_pair(sequences: list[np.ndarray], window: int) -> bool:
-    for seq in sequences:
-        eligible = np.flatnonzero(seq >= RESERVED_IDS)
-        if eligible.size >= 2 and int(np.diff(eligible).min()) <= window:
-            return True
-    return False
-
-
 def train_word2vec(
     encoded_sequences: Sequence[Sequence[int]],
     vocab: Vocabulary,
@@ -216,146 +300,76 @@ def train_word2vec(
     sequences = [np.asarray(s, dtype=np.int64) for s in encoded_sequences if len(s) > 0]
     if not sequences:
         raise EmbeddingConfigError("empty corpus: nothing to train on")
-    if not _has_any_pair(sequences, config.window):
+    is_cbow = config.kind == KIND_CBOW
+    probe_rng = make_rng(config.seed, "w2v-probe")
+    probe_masks = [probe_rng.random(len(s)) < config.heldout_fraction for s in sequences]
+    # one update per sentence; its windows are the same every epoch
+    windows = [_windows(seq, ~mask, config.window) for seq, mask in zip(sequences, probe_masks)]
+    total_updates = sum(centers.size > 0 for centers, _, _ in windows) * config.epochs
+    if total_updates == 0:
         raise EmbeddingConfigError(
-            "no valid (center, context) pairs in corpus; need at least two "
+            "no (center, context) pairs to train on; need at least two "
             "in-vocabulary tokens within one window"
         )
     table = _NegativeTable(vocab)
+    # The held-out positions are scored in batches of sentences: one batch of
+    # them all would hold examples x (k+1) x dim floats at once, ~70 MB for
+    # the desk corpus at dim 100. Their loss terms are summed as one array.
+    held = [
+        _examples(is_cbow, *_windows(seq, mask, config.window))
+        for seq, mask in zip(sequences, probe_masks)
+    ]
+    # A batch without a held-out position is dropped: it has nothing to score.
+    probe = [_concat(held[i : i + PROBE_SENTENCES]) for i in range(0, len(held), PROBE_SENTENCES)]
+    probe = [ex for ex in probe if ex.targets.size]
+    probe_sizes = [ex.targets.size for ex in probe]
+    probe_negs = np.split(
+        table.draw(probe_rng, _concat(probe).targets, config.negatives),
+        np.cumsum(probe_sizes)[:-1],
+    ) if probe else []
 
     V = vocab.size_with_reserved
     init_rng = make_rng(config.seed, "w2v-init")
     train_rng = make_rng(config.seed, "w2v-train")
-    probe_rng = make_rng(config.seed, "w2v-probe")
-
     W_in = ((init_rng.random((V, config.dim)) - 0.5) / config.dim).astype(np.float32)
     W_in[:RESERVED_IDS] = 0.0  # pad and UNK are never trained; a .vec file carries neither
     W_out = np.zeros((V, config.dim), dtype=np.float32)
 
-    probe_masks = [probe_rng.random(len(s)) < config.heldout_fraction for s in sequences]
-    probes = _ProbeSet(sequences, probe_masks, table, probe_rng, config)
-
-    # pair structure is identical every epoch; build it once
-    structures: list[tuple[np.ndarray, np.ndarray, np.ndarray, int] | None] = []
-    for seq, mask in zip(sequences, probe_masks):
-        centers_list: list[int] = []
-        ctx_parts: list[np.ndarray] = []
-        for pos in range(len(seq)):
-            center = int(seq[pos])
-            if center < RESERVED_IDS or mask[pos]:
-                continue
-            ctx = _context_window(seq, pos, config.window)
-            if ctx.size == 0:
-                continue
-            centers_list.append(center)
-            ctx_parts.append(ctx)
-        if not centers_list:
-            structures.append(None)
-            continue
-        counts = np.array([c.size for c in ctx_parts])
-        structures.append(
-            (np.asarray(centers_list), np.concatenate(ctx_parts), counts, len(seq))
-        )
-
     total_positions = sum(len(s) for s in sequences) * config.epochs
     lr0 = config.initial_rate
     lr_floor = config.final_rate_fraction
-    clip = config.grad_clip
-    k = config.negatives
-    dim = config.dim
-    is_cbow = config.kind == KIND_CBOW
-
     log: list[dict] = []
     processed = 0
     updates = 0
     loss_acc = 0.0
     pairs_acc = 0
-    next_log = config.log_every
-
-    # Gradients for all positions of one sentence are applied in a single
-    # scatter step; the per-pair objective is unchanged (a sentence step
-    # equals the sum of per-pair gradients at the same weights).
     for _epoch in range(config.epochs):
-        for seq, struct in zip(sequences, structures):
+        for seq, window in zip(sequences, windows):
             lr = lr0 * max(lr_floor, 1.0 - (processed / total_positions) * (1.0 - lr_floor))
             processed += len(seq)
-            if struct is None:
+            if window[0].size == 0:
                 continue
-            centers, ctx_flat, counts, _n = struct
-
-            if is_cbow:
-                # one positive (context mean, center) per position
-                offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-                vbar = (
-                    np.add.reduceat(W_in[ctx_flat], offsets, axis=0)
-                    / counts[:, None].astype(np.float32)
-                )
-                negs = table.draw(
-                    train_rng,
-                    (centers.size, k),
-                    forbidden=np.repeat(centers, k).reshape(-1, k),
-                )
-                u_pos = W_out[centers]
-                u_neg = W_out[negs]
-                s_pos = (vbar * u_pos).sum(axis=1)
-                s_neg = np.einsum("pd,pkd->pk", vbar, u_neg)
-                e_pos = sigmoid(s_pos) - np.float32(1.0)
-                e_neg = sigmoid(s_neg)
-                g_vbar = e_pos[:, None] * u_pos + np.einsum("pk,pkd->pd", e_neg, u_neg)
-                g_ctx = np.repeat(g_vbar / counts[:, None].astype(np.float32), counts, axis=0)
-                _apply_gradients(W_in, ctx_flat, g_ctx, lr, clip)
-                out_rows = np.concatenate([centers, negs.ravel()])
-                g_out = np.concatenate(
-                    [
-                        e_pos[:, None] * vbar,
-                        (e_neg[:, :, None] * vbar[:, None, :]).reshape(-1, dim),
-                    ]
-                )
-                _apply_gradients(W_out, out_rows, g_out, lr, clip)
-                pairs_new = centers.size
-            else:
-                # one positive per (center, context) pair
-                pair_center = np.repeat(centers, counts)
-                negs = table.draw(
-                    train_rng,
-                    (ctx_flat.size, k),
-                    forbidden=np.repeat(ctx_flat, k).reshape(-1, k),
-                )
-                v = W_in[pair_center]
-                u_pos = W_out[ctx_flat]
-                u_neg = W_out[negs]
-                s_pos = (v * u_pos).sum(axis=1)
-                s_neg = np.einsum("qd,qkd->qk", v, u_neg)
-                e_pos = sigmoid(s_pos) - np.float32(1.0)
-                e_neg = sigmoid(s_neg)
-                g_center = e_pos[:, None] * u_pos + np.einsum("qk,qkd->qd", e_neg, u_neg)
-                _apply_gradients(W_in, pair_center, g_center, lr, clip)
-                out_rows = np.concatenate([ctx_flat, negs.ravel()])
-                g_out = np.concatenate(
-                    [
-                        e_pos[:, None] * v,
-                        (e_neg[:, :, None] * v[:, None, :]).reshape(-1, dim),
-                    ]
-                )
-                _apply_gradients(W_out, out_rows, g_out, lr, clip)
-                pairs_new = ctx_flat.size
-
-            loss_acc += float(
-                np.logaddexp(0.0, -s_pos.astype(np.float64)).sum()
-                + np.logaddexp(0.0, s_neg.astype(np.float64)).sum()
-            )
-            pairs_acc += pairs_new
+            ex = _examples(is_cbow, *window)
+            negs = table.draw(train_rng, ex.targets, config.negatives)
+            terms, g_in, out_rows, g_out = batch_loss_and_grad(W_in, W_out, ex, negs)
+            _apply_gradients(W_in, ex.inputs, g_in, lr, config.grad_clip)
+            _apply_gradients(W_out, out_rows, g_out, lr, config.grad_clip)
+            loss_acc += _total(terms)
+            pairs_acc += ex.targets.size
             updates += 1
-            if updates >= next_log:
-                log.append(_log_entry(updates, loss_acc, pairs_acc, probes, W_in, W_out))
+            if updates % config.log_every == 0 or updates == total_updates:
+                heldout = None
+                if probe:
+                    terms = zip(*(
+                        batch_loss_and_grad(W_in, W_out, ex, negs)[0]
+                        for ex, negs in zip(probe, probe_negs)
+                    ))
+                    heldout = _total([np.concatenate(t) for t in terms]) / sum(probe_sizes)
+                log.append(
+                    {"step": updates, "train_loss": loss_acc / pairs_acc, "heldout_loss": heldout}
+                )
                 loss_acc = 0.0
                 pairs_acc = 0
-                next_log += config.log_every
-
-    if updates == 0:
-        raise EmbeddingConfigError("no valid (center, context) pairs in corpus")
-    if pairs_acc:
-        log.append(_log_entry(updates, loss_acc, pairs_acc, probes, W_in, W_out))
 
     if not (np.isfinite(W_in).all() and np.isfinite(W_out).all()):
         raise EmbeddingConfigError(
@@ -370,79 +384,6 @@ def train_word2vec(
         output_vectors=W_out,
         training_log=tuple(log),
     )
-
-
-class _ProbeSet:
-    """Held-out positions with fixed negatives, evaluated vectorized."""
-
-    def __init__(self, sequences, probe_masks, table, probe_rng, config):
-        self.is_cbow = config.kind == KIND_CBOW
-        k = config.negatives
-        centers: list[int] = []
-        ctx_parts: list[np.ndarray] = []
-        for seq, mask in zip(sequences, probe_masks):
-            for pos in np.flatnonzero(mask):
-                center = int(seq[pos])
-                if center < RESERVED_IDS:
-                    continue
-                ctx = _context_window(seq, int(pos), config.window)
-                if ctx.size == 0:
-                    continue
-                centers.append(center)
-                ctx_parts.append(ctx)
-        self.n_positions = len(centers)
-        if not centers:
-            return
-        if self.is_cbow:
-            self.centers = np.asarray(centers)
-            self.ctx_flat = np.concatenate(ctx_parts)
-            counts = np.array([c.size for c in ctx_parts])
-            self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            self.counts = counts.astype(np.float64)
-            self.negs = table.draw(
-                probe_rng,
-                (self.n_positions, k),
-                forbidden=np.repeat(self.centers, k).reshape(-1, k),
-            )
-            self.n_pairs = self.n_positions
-        else:
-            # one row per positive (center, context) pair
-            self.pair_center = np.concatenate(
-                [np.full(c.size, ctr) for ctr, c in zip(centers, ctx_parts)]
-            )
-            self.pair_ctx = np.concatenate(ctx_parts)
-            q = self.pair_center.size
-            self.negs = table.draw(
-                probe_rng, (q, k), forbidden=np.repeat(self.pair_ctx, k).reshape(-1, k)
-            )
-            self.n_pairs = q
-
-    def loss(self, W_in: np.ndarray, W_out: np.ndarray) -> float | None:
-        """Mean per-positive-pair loss; None when no probes were drawn."""
-        if self.n_positions == 0:
-            return None
-        if self.is_cbow:
-            sums = np.add.reduceat(W_in[self.ctx_flat], self.offsets, axis=0)
-            vbar = sums / self.counts[:, None]
-            s_pos = (vbar * W_out[self.centers]).sum(axis=1)
-            s_neg = np.einsum("pd,pkd->pk", vbar, W_out[self.negs])
-        else:
-            v = W_in[self.pair_center]
-            s_pos = (v * W_out[self.pair_ctx]).sum(axis=1)
-            s_neg = np.einsum("pd,pkd->pk", v, W_out[self.negs])
-        total = (
-            np.logaddexp(0.0, -s_pos.astype(np.float64)).sum()
-            + np.logaddexp(0.0, s_neg.astype(np.float64)).sum()
-        )
-        return float(total) / self.n_pairs
-
-
-def _log_entry(step, loss_acc, pairs_acc, probes: _ProbeSet, W_in, W_out) -> dict:
-    return {
-        "step": step,
-        "train_loss": loss_acc / max(pairs_acc, 1),
-        "heldout_loss": probes.loss(W_in, W_out),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -482,56 +423,38 @@ def gradient_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Checks both vector sides of the exact objective the trainer applies,
-    in double precision. For CBOW the input side is every context vector
-    (each receiving grad_vbar / m); for Skip-Gram it is the center vector.
+    Builds the examples of one center among `n_context` context tokens as
+    the trainer does, and checks `batch_loss_and_grad` on them in double
+    precision at every W_in and W_out entry they touch. Gradients of rows
+    that occur more than once are summed, as the trainer's step sums them.
     """
     if kind not in NATIVE_KINDS:
         raise EmbeddingConfigError(f"kind must be one of {NATIVE_KINDS}")
     rng = make_rng(seed, "w2v-gradcheck")
     W_in = rng.normal(0.0, 0.5, size=(vocab_size, dim))
     W_out = rng.normal(0.0, 0.5, size=(vocab_size, dim))
-    ids = rng.choice(vocab_size, size=1 + n_context + negatives, replace=False)
-    center, ctx, negs = int(ids[0]), ids[1 : 1 + n_context], ids[1 + n_context :]
+    ids = RESERVED_IDS + rng.choice(
+        vocab_size - RESERVED_IDS, size=1 + n_context + negatives, replace=False
+    )
+    # the center sits among its contexts, half of them on its left
+    seq = np.insert(ids[1 : 1 + n_context], n_context // 2, ids[0])
+    ex = _examples(kind == KIND_CBOW, *_windows(seq, seq == ids[0], n_context))
+    negs = np.tile(ids[1 + n_context :], (ex.targets.size, 1))
 
-    if kind == KIND_CBOW:
-        rows = np.concatenate([[center], negs])
-        labels = np.zeros(rows.size)
-        labels[0] = 1.0
-        in_rows = ctx
+    def loss_fn() -> float:
+        return _total(batch_loss_and_grad(W_in, W_out, ex, negs)[0])
 
-        def loss_fn() -> float:
-            v = W_in[in_rows].mean(axis=0)
-            return pair_loss_and_grad(v, W_out[rows], labels)[0]
-
-        v0 = W_in[in_rows].mean(axis=0)
-        _, g_v, g_U = pair_loss_and_grad(v0, W_out[rows], labels)
-        analytic_in = np.tile(g_v / len(in_rows), (len(in_rows), 1))
-    else:
-        rows = np.concatenate([ctx, negs])
-        labels = np.zeros(rows.size)
-        labels[: ctx.size] = 1.0
-        in_rows = np.array([center])
-
-        def loss_fn() -> float:
-            return pair_loss_and_grad(W_in[center], W_out[rows], labels)[0]
-
-        _, g_v, g_U = pair_loss_and_grad(W_in[center], W_out[rows], labels)
-        analytic_in = g_v[None, :]
-
+    _, g_in, out_rows, g_out = batch_loss_and_grad(W_in, W_out, ex, negs)
     max_err = 0.0
-    for r, row in enumerate(in_rows):
-        for j in range(dim):
-            max_err = max(
-                max_err,
-                _rel_err(analytic_in[r, j], _central_diff(W_in, (row, j), loss_fn, h)),
-            )
-    for r, row in enumerate(rows):
-        for j in range(dim):
-            max_err = max(
-                max_err,
-                _rel_err(g_U[r, j], _central_diff(W_out, (row, j), loss_fn, h)),
-            )
+    for W, rows, grads in ((W_in, ex.inputs, g_in), (W_out, out_rows, g_out)):
+        analytic = np.zeros_like(W)
+        np.add.at(analytic, rows, grads)
+        for row in np.unique(rows):
+            for j in range(dim):
+                max_err = max(
+                    max_err,
+                    _rel_err(analytic[row, j], _central_diff(W, (row, j), loss_fn, h)),
+                )
     return max_err
 
 
@@ -556,9 +479,10 @@ def _rel_err(a: float, n: float) -> float:
 def import_external(path: str | Path, kind: str) -> EmbeddingModel:
     """Load externally computed embeddings.
 
-    Static format: line 1 `|V| dim`, then `token v1 ... vdim` per line.
-    Contextual format: one JSON object per line, {"sample_id": ..., "rows":
-    [[...], ...]}. Dimension mismatches raise EmbeddingFormatError.
+    Static format: line 1 `|V| dim`, then exactly |V| lines `token v1 ... vdim`
+    with distinct tokens (trailing blank lines ignored). Contextual format: one JSON object per line,
+    {"sample_id": ..., "rows": [[...], ...]}, with distinct sample ids and one
+    dim. A malformed file raises EmbeddingFormatError naming the file and line.
     """
     if kind in ("static", KIND_EXTERNAL_STATIC):
         return _import_static(Path(path))
@@ -569,30 +493,40 @@ def import_external(path: str | Path, kind: str) -> EmbeddingModel:
 
 def _import_static(path: Path) -> EmbeddingModel:
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise EmbeddingFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise EmbeddingFormatError(f"{path}: header must be '|V| dim', got {lines[0]!r}")
+    while lines and not lines[-1].strip():
+        lines.pop()  # trailing blank lines hold no row
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or not all(h.isdecimal() for h in header):
+        raise EmbeddingFormatError(
+            f"{path}:1: header must be '|V| dim', got {lines[0] if lines else ''!r}"
+        )
     n, dim = int(header[0]), int(header[1])
-    if len(lines) - 1 < n:
-        raise EmbeddingFormatError(f"{path}: header promises {n} rows, found {len(lines) - 1}")
-    tokens: list[str] = []
+    blank = next((i for i, line in enumerate(lines) if not line.strip()), None)
+    if blank is not None:
+        raise EmbeddingFormatError(f"{path}:{blank + 1}: blank line among the rows")
+    if len(lines) - 1 != n:
+        raise EmbeddingFormatError(f"{path}:1: header promises {n} rows, found {len(lines) - 1}")
+    index: dict[str, int] = {}
     vectors = np.zeros((n + RESERVED_IDS, dim))
-    for i, line in enumerate(lines[1 : n + 1]):
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise EmbeddingFormatError(
-                f"{path}: row {i} has {len(parts) - 1} values, expected dim={dim}"
-            )
-        tokens.append(parts[0])
-        vectors[i + RESERVED_IDS] = [float(x) for x in parts[1:]]
+    for i, line in enumerate(lines[1:]):
+        token, *values = line.split(" ")
+        where = f"{path}:{i + 2}: row {i}"
+        if len(values) != dim:
+            raise EmbeddingFormatError(f"{where} has {len(values)} values, expected dim={dim}")
+        if token in index:
+            raise EmbeddingFormatError(f"{where} repeats token {token!r} of row {index[token]}")
+        index[token] = i
+        try:
+            vectors[i + RESERVED_IDS] = [float(x) for x in values]
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{where} has a non-numeric value: {exc}") from None
+    tokens = tuple(index)
     vocab_ref = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
     return EmbeddingModel(
         kind=KIND_EXTERNAL_STATIC,
         dim=dim,
         vocab_ref=vocab_ref,
-        tokens=tuple(tokens),
+        tokens=tokens,
         input_vectors=vectors,
     )
 
@@ -604,11 +538,16 @@ def _import_contextual(path: Path) -> EmbeddingModel:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            sid = rec["sample_id"]
+            try:
+                rec = json.loads(line)
+                sid = rec["sample_id"]
+                rows = np.asarray(rec["rows"], dtype=np.float64)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: want a JSON object with sample_id and rows: {exc!r}"
+                ) from None
             if sid in sample_map:
                 raise EmbeddingFormatError(f"{path}:{lineno}: duplicate sample_id {sid}")
-            rows = np.asarray(rec["rows"], dtype=np.float64)
             if rows.ndim != 2:
                 raise EmbeddingFormatError(f"{path}:{lineno}: rows must be a T x dim matrix")
             if dim is None:

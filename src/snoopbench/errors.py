@@ -10,7 +10,7 @@ class MalformedModuleError(SnoopbenchError):
 
 
 class CorpusFormatError(SnoopbenchError):
-    """A corpus file record has a stale or duplicate id, or breaks the file's cut."""
+    """A corpus file record is malformed, has a stale or duplicate id, or breaks the file's cut."""
 
 
 class VocabFormatError(SnoopbenchError):
@@ -42,7 +42,7 @@ class EmbeddingConfigError(SnoopbenchError):
 
 
 class EmbeddingFormatError(SnoopbenchError):
-    """External embedding file does not match the documented format."""
+    """An embedding file does not match its documented format; message names file and line."""
 
 
 class VocabLookupError(SnoopbenchError):

@@ -12,11 +12,14 @@ table convention, with a best-model summary per embedding kind.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from . import __version__
 from .classifier import (
@@ -177,6 +180,26 @@ def validate_report(doc: dict) -> None:
 # Grid execution
 # ---------------------------------------------------------------------------
 
+def _runtime() -> dict:
+    """The software and threads a run's float results can depend on.
+
+    Metrics files are byte-identical only under the same BLAS thread count.
+    This block goes to env.json only, not into the report's environment, so
+    report.json stays comparable across machines.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run_grid(
     corpus: Corpus,
     embedding_kinds: tuple[str, ...] = (KIND_SKIPGRAM,),
@@ -212,9 +235,9 @@ def run_grid(
         for sub in ("manifests", "embeddings", "models", "metrics"):
             (out / sub).mkdir(parents=True, exist_ok=True)
         # environment echo goes to disk before any computation output
+        doc = {"tool_version": __version__, **env, "runtime": _runtime()}
         (out / "env.json").write_text(
-            json.dumps({"tool_version": __version__, **env}, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
+            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
 
     prepared = {

@@ -64,6 +64,38 @@ class TestExitCodes:
             build_parser().parse_args([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("bad_line, why", [
+        ('{"id": "x"', "JSONDecodeError"),
+        ('{"id": "x", "source_name": "f"}', "KeyError('normalized_text')"),
+    ])
+    def test_malformed_corpus_line_exits_one(self, workspace, tmp_path, capsys, bad_line, why):
+        _, corpus, _, _ = workspace
+        lines = corpus.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:1] + [bad_line] + lines[1:]) + "\n")
+        code = dispatch([
+            "partition", "--input", str(bad), "--out", str(tmp_path / "m.json"), "--seed", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2: not a corpus record" in err and why in err
+
+    def test_malformed_embedding_file_exits_one(self, workspace, tmp_path, capsys):
+        _, corpus, m_none, _ = workspace
+        vocab = tmp_path / "vocab.tsv"
+        Vocabulary.from_counts({"a": 2, "b": 1}).save(vocab)
+        vec = tmp_path / "bad.vec"
+        vec.write_text("2 2\na 1.0 2.0\na 3.0 4.0\n")
+        code = dispatch([
+            "train", "--input", str(corpus), "--manifest", str(m_none),
+            "--embedding-file", str(vec), "--vocab", str(vocab),
+            "--optimizer", "adam", "--lr", "0.01", "--epochs", "1",
+            "--out", str(tmp_path / "m.npz"), "--metrics", str(tmp_path / "m.jsonl"),
+            "--seed", "1",
+        ])
+        assert code == 1
+        assert "bad.vec:3: row 1 repeats token 'a'" in capsys.readouterr().err
+
     def test_tampered_corpus_text_exits_one(self, workspace, tmp_path, capsys):
         _, corpus, _, _ = workspace
         lines = corpus.read_text().splitlines()
@@ -162,7 +194,8 @@ class TestManifestsAcrossEntryPoints:
 class TestPipelineSubcommands:
     def test_embed_train_report_chain(self, workspace, tmp_path):
         """`embed` + `train` on a grid's manifest, with the grid's derived seeds,
-        reproduce that grid cell's vectors, vocabulary and metrics byte for byte."""
+        reproduce that grid cell's vectors, vocabulary, model and metrics byte
+        for byte."""
         _, corpus, _, _ = workspace
         configs = tmp_path / "configs.json"
         configs.write_text(json.dumps([{"kind": "adam", "lr": 0.01}]))
@@ -194,7 +227,8 @@ class TestPipelineSubcommands:
                 "--out", str(model), "--metrics", str(metrics),
                 "--seed", str(derive_seed(9, "clf:skipgram:adam_lr0.01")),
             ]) == EXIT_OK
-            assert model.exists()
+            grid_model = run_dir / "models" / f"skipgram_{mode}_adam_lr0.01.npz"
+            assert model.read_bytes() == grid_model.read_bytes()
             grid_metrics = run_dir / "metrics" / f"skipgram_{mode}_adam_lr0.01.jsonl"
             assert metrics.read_bytes() == grid_metrics.read_bytes()
 

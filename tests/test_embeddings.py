@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from snoopbench import embeddings as emb
 from snoopbench.embeddings import (
     EmbeddingModel,
     Word2VecConfig,
+    _examples,
     _NegativeTable,
+    _windows,
+    batch_loss_and_grad,
     export_external,
     gradient_check,
     import_external,
@@ -37,6 +43,52 @@ class TestGradients:
 
     def test_skipgram_matches_finite_differences(self):
         assert gradient_check("skipgram", vocab_size=50) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["skipgram", "cbow"])
+    def test_gradient_check_catches_a_wrong_input_gradient(self, kind, monkeypatch):
+        """gradient_check runs the trainer's objective: an input-side gradient
+        off by 1% there is caught."""
+        real = emb.batch_loss_and_grad
+
+        def off_by_one_percent(*args):
+            terms, g_in, out_rows, g_out = real(*args)
+            return terms, 1.01 * g_in, out_rows, g_out
+
+        monkeypatch.setattr(emb, "batch_loss_and_grad", off_by_one_percent)
+        assert gradient_check(kind, vocab_size=50) > 1e-4
+
+    @pytest.mark.parametrize("kind", ["skipgram", "cbow"])
+    def test_batch_equals_sum_of_per_pair_reference(self, kind):
+        """One sentence's examples, built with pad and UNK inside the windows,
+        score and differentiate like the per-pair reference summed over them."""
+        rng = make_rng(4, "batch-ref")
+        V, dim, k, window = 10, 5, 3, 2
+        W_in = rng.normal(0.0, 0.5, size=(V, dim))
+        W_out = rng.normal(0.0, 0.5, size=(V, dim))
+        seq = np.array([2, 0, 3, 4, 1, 5, 6, 3, 7, 1, 1, 1, 8])
+        ex = _examples(kind == "cbow", *_windows(seq, np.ones(seq.size, dtype=bool), window))
+        reference = _reference_examples(kind, list(seq), window)
+        sizes = np.ones(ex.targets.size, dtype=int) if ex.counts is None else ex.counts
+        groups = np.split(ex.inputs, np.cumsum(sizes)[:-1])
+        assert [(list(g), t) for g, t in zip(groups, ex.targets)] == reference
+
+        negs = rng.integers(RESERVED_IDS, V, size=(ex.targets.size, k))
+        (pos, neg), g_in, out_rows, g_out = batch_loss_and_grad(W_in, W_out, ex, negs)
+        got_in, got_out = np.zeros_like(W_in), np.zeros_like(W_out)
+        np.add.at(got_in, ex.inputs, g_in)
+        np.add.at(got_out, out_rows, g_out)
+        ref_loss, ref_in, ref_out = [], np.zeros_like(W_in), np.zeros_like(W_out)
+        for (group, target), neg_row in zip(reference, negs):
+            rows = np.concatenate([[target], neg_row])
+            labels = np.zeros(rows.size)
+            labels[0] = 1.0
+            l, g_v, g_U = pair_loss_and_grad(W_in[group].mean(axis=0), W_out[rows], labels)
+            ref_loss.append(l)
+            np.add.at(ref_in, group, g_v / len(group))
+            np.add.at(ref_out, rows, g_U)
+        np.testing.assert_allclose(pos + neg.sum(axis=1), ref_loss, rtol=1e-12)
+        np.testing.assert_allclose(got_in, ref_in, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got_out, ref_out, rtol=1e-10, atol=1e-12)
 
     def test_pair_loss_matches_manual_formula(self):
         rng = make_rng(0, "pl")
@@ -71,6 +123,21 @@ class TestConfigErrors:
         # each sentence holds one lone in-vocab token: no center/context pairs
         with pytest.raises(EmbeddingConfigError, match="pairs"):
             train_word2vec([[2], [3]], vocab, Word2VecConfig(kind="skipgram", window=5))
+
+
+def _reference_examples(kind, seq, window):
+    """(group rows, positive row) per example, by a plain loop over positions."""
+    out = []
+    for pos, center in enumerate(seq):
+        if center < RESERVED_IDS:
+            continue
+        lo = max(0, pos - window)
+        ctx = [c for c in seq[lo:pos] + seq[pos + 1 : pos + 1 + window] if c >= RESERVED_IDS]
+        if kind == "cbow":
+            out += [(ctx, center)] if ctx else []
+        else:
+            out += [([center], c) for c in ctx]
+    return out
 
 
 def reference_sgns(encoded, vocab, dim, window, k, epochs, lr, seed):
@@ -185,6 +252,18 @@ class TestTrainingBehavior:
             assert set(entry) == {"step", "train_loss", "heldout_loss"}
             assert np.isfinite(entry["train_loss"])
 
+    @pytest.mark.parametrize("kind", ["skipgram", "cbow"])
+    def test_heldout_batch_without_positions_is_skipped(self, kind):
+        """The held-out loss is scored per batch of PROBE_SENTENCES sentences;
+        a last batch of one single-token sentence holds no held-out example."""
+        rng = make_rng(3, "probe-batches")
+        sents = [[f"t{int(rng.integers(0, 12))}" for _ in range(8)] for _ in range(emb.PROBE_SENTENCES)]
+        sents.append(["t0"])
+        vocab = build_vocab(sents)
+        cfg = Word2VecConfig(kind=kind, dim=8, epochs=1, seed=0, log_every=100)
+        model = train_word2vec([encode(s, vocab) for s in sents], vocab, cfg)
+        assert all(np.isfinite(e["heldout_loss"]) for e in model.training_log)
+
     def test_rows_finite_one_per_token(self):
         sents = [["a", "b", "c"] for _ in range(10)]
         vocab = build_vocab(sents)
@@ -195,14 +274,15 @@ class TestTrainingBehavior:
         assert np.isfinite(model.input_vectors).all()
         assert np.isfinite(model.output_vectors).all()
 
-    def test_first_step_equals_sum_of_per_pair_gradients(self):
+    @pytest.mark.parametrize("kind", ["skipgram", "cbow"])
+    def test_first_step_equals_sum_of_per_pair_gradients(self, kind):
         """The sentence-batched update must be the sum of per-pair
         gradients at the initial weights (clip inactive)."""
         sents = [["a", "b", "c", "d"]]
         vocab = build_vocab(sents)
         encoded = [encode(s, vocab) for s in sents]
         cfg = Word2VecConfig(
-            kind="skipgram", dim=6, window=1, negatives=2, epochs=1,
+            kind=kind, dim=6, window=1, negatives=2, epochs=1,
             heldout_fraction=0.0, seed=13,
         )
         model = train_word2vec(encoded, vocab, cfg)
@@ -215,29 +295,20 @@ class TestTrainingBehavior:
         W_out = np.zeros((V, cfg.dim), dtype=np.float32)
         table = _NegativeTable(vocab)
         train_rng = make_rng(cfg.seed, "w2v-train")
-        seq = encoded[0]
-        pairs = []
-        for pos, center in enumerate(seq):
-            lo = max(0, pos - cfg.window)
-            for ctx in list(seq[lo:pos]) + list(seq[pos + 1 : pos + 1 + cfg.window]):
-                pairs.append((center, ctx))
-        ctx_arr = np.array([c for _, c in pairs])
-        negs = table.draw(
-            train_rng, (len(pairs), cfg.negatives),
-            forbidden=np.repeat(ctx_arr, cfg.negatives).reshape(-1, cfg.negatives),
-        )
+        examples = _reference_examples(kind, encoded[0], cfg.window)
+        negs = table.draw(train_rng, np.array([t for _, t in examples]), cfg.negatives)
         dW_in = np.zeros_like(W_in, dtype=np.float64)
         dW_out = np.zeros_like(W_out, dtype=np.float64)
-        for (center, ctx), neg_row in zip(pairs, negs):
-            rows = np.concatenate([[ctx], neg_row])
+        for (group, target), neg_row in zip(examples, negs):
+            rows = np.concatenate([[target], neg_row])
             labels = np.zeros(rows.size)
             labels[0] = 1.0
             _, g_v, g_U = pair_loss_and_grad(
-                W_in[center].astype(np.float64), W_out[rows].astype(np.float64), labels
+                W_in[group].astype(np.float64).mean(axis=0),
+                W_out[rows].astype(np.float64), labels,
             )
-            dW_in[center] += g_v
-            for r, row in enumerate(rows):
-                dW_out[row] += g_U[r]
+            np.add.at(dW_in, group, g_v / len(group))
+            np.add.at(dW_out, rows, g_U)
         lr = cfg.initial_rate  # first sentence trains at the initial rate
         expect_in = W_in - (lr * dW_in).astype(np.float32)
         expect_out = W_out - (lr * dW_out).astype(np.float32)
@@ -373,3 +444,25 @@ class TestExternalContextual:
         p2 = tmp_path / "out.jsonl"
         export_external(model, p2)
         assert p2.read_bytes() == p1.read_bytes()
+
+
+def test_static_file_ending_in_blank_lines_loads(tmp_path):
+    path = tmp_path / "ok.vec"
+    path.write_text("1 2\nx 1.0 2.0\n\n\n")
+    assert import_external(path, "static").tokens == ("x",)
+
+
+@pytest.mark.parametrize("kind, text, where", [
+    ("static", "a 2\nx 1.0 2.0\n", ":1: header must be"),
+    ("static", "1 2\nx 1.0 two\n", ":2: row 0 has a non-numeric value"),
+    ("static", "2 2\nx 1.0 2.0\nx 3.0 4.0\n", ":3: row 1 repeats token 'x'"),
+    ("static", "1 2\nx 1.0 2.0\ny 3.0 4.0\n", ":1: header promises 1 rows, found 2"),
+    ("static", "2 2\nx 1.0 2.0\n\ny 3.0 4.0\n", ":3: blank line among the rows"),
+    ("contextual", '{"sample_id": "s0", "rows": [[1.0]]}\n{"sample_id": "x"\n', ":2: want"),
+    ("contextual", '{"sample_id": "s0"}\n', ":1: want"),
+])
+def test_malformed_external_file_names_file_and_line(tmp_path, kind, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(EmbeddingFormatError, match=re.escape("bad.txt" + where)):
+        import_external(path, kind)

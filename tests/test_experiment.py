@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from snoopbench.classifier import MetricsRecord, OptimizerSpec
@@ -83,6 +85,22 @@ class TestRunGrid:
         assert len(list((out / "metrics").glob("*.jsonl"))) == 4
         assert len(list((out / "models").glob("*.npz"))) == 4
         assert len(list((out / "embeddings").glob("*.vec"))) == 2
+
+    def test_env_json_records_runtime_outside_the_report(self, quick_report):
+        _, out = quick_report
+        env = json.loads((out / "env.json").read_text())
+        runtime = env.pop("runtime")
+        assert set(runtime) == {"python", "numpy", "blas", "threads", "cpu_count"}
+        assert runtime["numpy"] == np.__version__
+        assert runtime["cpu_count"] == os.cpu_count()
+        assert runtime["threads"] == {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        assert runtime["blas"]["name"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["tool_version"] == env.pop("tool_version")
+        assert doc["environment"] == env
 
     def test_metrics_files_have_one_line_per_epoch(self, quick_report):
         _, out = quick_report

@@ -380,6 +380,17 @@ class TestCorpusAssembly:
         with pytest.raises(CorpusFormatError, match=r"corpus.jsonl:2: first has a duplicate id"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("field, value", [("normalized_text", 5), ("token_count", "5")])
+    def test_corpus_file_with_a_wrong_typed_field_is_rejected(self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(build_corpus([("m.ll", TWO_FUNCTION_MODULE)]), path)
+        lines = path.read_text().splitlines()
+        second = json.loads(lines[1])
+        second[field] = value
+        path.write_text("\n".join([lines[0], json.dumps(second, sort_keys=True)]) + "\n")
+        with pytest.raises(CorpusFormatError, match="corpus.jsonl:2: normalized_text must be"):
+            read_corpus(path)
+
     def test_corpus_file_with_a_stale_id_is_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_corpus(build_corpus([("m.ll", TWO_FUNCTION_MODULE)]), path)
